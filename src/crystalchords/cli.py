@@ -6,6 +6,7 @@ Exit codes: 0 success (or a holding CSP), 1 property/CSP failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from .crystals import (
 )
 from .fixtures import golden_checks
 from .growth import (
+    _FAMILY_RULE,
     InvalidOutput,
     blocksum,
     blowup,
@@ -32,7 +34,7 @@ from .growth import (
     growth_matrix,
     lower_triangle_rows,
 )
-from .promotion import chord_matrix, promote, rotate_matrix
+from .promotion import CHORD_MAPS, chord_matrix, promote, rotate_matrix
 from .serialize import (
     dump_json,
     matrix_to_json,
@@ -169,8 +171,7 @@ def cmd_growth(args) -> int:
     t = _load_tableau(args)
     m = growth_matrix(t.family, t)
     if args.round_trip:
-        rule = {OSCILLATING: "zero_one", FAN: "burge", VACILLATING: "rsk"}[t.family]
-        back = growth_inverse(rule, lower_triangle_rows(m), t.family)
+        back = growth_inverse(_FAMILY_RULE[t.family], lower_triangle_rows(m), t.family)
         ok = back.steps == t.steps
         print(dump_json({"round_trip": ok}) if args.format == "json" else f"round trip: {ok}")
         return 0 if ok else CHECK_FAILED
@@ -288,6 +289,18 @@ def _check_blowup(t: TableauSeq) -> str | None:
     return None
 
 
+def _exception_reason(exc: Exception) -> str:
+    return f"exception: {type(exc).__name__}: {exc}"
+
+
+def _guarded(check, t: TableauSeq) -> str | None:
+    """Run a check; an exception it raises is a counterexample, not a usage error."""
+    try:
+        return check(t)
+    except Exception as exc:  # any failure inside a check is reported with its instance
+        return _exception_reason(exc)
+
+
 _SUITE_CHECK = {
     "osc-main": _check_main,
     "fans-main": _check_main,
@@ -335,24 +348,28 @@ def _rule_inversion_failures(cases: int, seed: int = 20260811) -> list[dict]:
                 opts.append(trim(tuple(cand)))
         return opts[rng.randrange(len(opts))]
 
+    def check(rule, g, d, a, m):
+        try:
+            b = cell_forward(rule, g, d, a, m)
+            if cell_backward(rule, b, d, a) == (g, m):
+                return
+            extra = {}
+        except Exception as exc:  # a rule that raises on a generated cell is a counterexample
+            extra = {"reason": _exception_reason(exc)}
+        failures.append({"rule": rule, "gamma": list(g), "delta": list(d), "alpha": list(a), "m": m, **extra})
+
     per_rule = (cases + 2) // 3
     for _ in range(per_rule):
         g = rand_partition()
         d, a = one_box(g), one_box(g)
         m = rng.randint(0, 1) if d == g == a else 0
-        b = cell_forward("zero_one", g, d, a, m)
-        if cell_backward("zero_one", b, d, a) != (g, m):
-            failures.append({"rule": "zero_one", "gamma": list(g), "delta": list(d), "alpha": list(a), "m": m})
+        check("zero_one", g, d, a, m)
         d, a = grow(g, True), grow(g, True)
         m = rng.randint(0, 3)
-        b = cell_forward("burge", g, d, a, m)
-        if cell_backward("burge", b, d, a) != (g, m):
-            failures.append({"rule": "burge", "gamma": list(g), "delta": list(d), "alpha": list(a), "m": m})
+        check("burge", g, d, a, m)
         d, a = grow(g, False), grow(g, False)
         m = rng.randint(0, 3)
-        b = cell_forward("rsk", g, d, a, m)
-        if cell_backward("rsk", b, d, a) != (g, m):
-            failures.append({"rule": "rsk", "gamma": list(g), "delta": list(d), "alpha": list(a), "m": m})
+        check("rsk", g, d, a, m)
     return failures
 
 
@@ -371,7 +388,8 @@ def cmd_verify(args) -> int:
         }
         print(dump_json(report))
         return 0 if not failures else CHECK_FAILED
-    check = _SUITE_CHECK[suite]
+    # a partial of module-level functions, so --jobs N can pickle it
+    check = functools.partial(_guarded, _SUITE_CHECK[suite])
     instances = 0
     failures = []
     for family, r, n in _scales(suite, args):
@@ -471,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chord", help="chord-diagram adjacency matrix")
     add_tableau_args(p)
-    p.add_argument("--map", choices=("M_O", "M_F", "M_VO", "M_VF"))
+    p.add_argument("--map", choices=CHORD_MAPS)
     p.set_defaults(func=cmd_chord)
 
     p = sub.add_parser("growth", help="growth-diagram matrix and round trips")

@@ -25,7 +25,6 @@ from .weights import (
     is_partition,
     pad,
     partition,
-    step_classify,
     trim,
     unit_vector,
     vec_add,
@@ -283,27 +282,34 @@ def validate_tableau(t: TableauSeq) -> None:
     if not t.steps or t.steps[0] != ():
         raise ValueError("step sequence must start at the empty partition")
     for p in t.steps:
-        if not (isinstance(p, tuple) and is_partition(p) and trim(p) == p):
+        if not (isinstance(p, tuple) and is_partition(p) and (not p or p[-1] != 0)):
             raise ValueError(f"{p!r} is not a canonical partition")
         if len(p) > t.rank:
             raise ValueError(f"{p} has more than {t.rank} parts")
-    for p, q in zip(t.steps, t.steps[1:]):
-        kind, _ = step_classify(p, q)
-        if t.family == OSCILLATING:
-            if kind not in ("add_box", "remove_box"):
-                raise ValueError(f"oscillating step {p} -> {q} must add or remove one box")
-        elif t.family == FAN:
-            diff = set(a - b for a, b in zip(pad(q, t.rank), pad(p, t.rank)))
-            if not diff <= {1, -1}:
-                raise ValueError(f"fan step {p} -> {q} must change every part by one")
-        else:  # vacillating
-            if kind == "equal":
-                if len(p) != t.rank:
-                    raise ValueError(
-                        f"vacillating step may repeat {p} only with all {t.rank} parts positive"
-                    )
-            elif kind not in ("add_box", "remove_box"):
-                raise ValueError(f"vacillating step {p} -> {q} must be a box or equal")
+    padded = [p + (0,) * (t.rank - len(p)) for p in t.steps]
+    for a, b in zip(padded, padded[1:]):
+        check_step(t.family, a, b)
+
+
+_UNIT_MOVES = frozenset((1, -1))
+
+
+def check_step(family: str, a: WeightVec, b: WeightVec) -> None:
+    """Raise unless the family allows a step from a to b, both padded to the rank."""
+    moves = [y - x for x, y in zip(a, b) if y != x]
+    if family == FAN:
+        if len(moves) != len(a) or not _UNIT_MOVES.issuperset(moves):
+            raise ValueError(f"fan step {trim(a)} -> {trim(b)} must change every part by one")
+    elif len(moves) == 1 and moves[0] in _UNIT_MOVES:
+        return
+    elif family == OSCILLATING:
+        raise ValueError(f"oscillating step {trim(a)} -> {trim(b)} must add or remove one box")
+    elif moves:
+        raise ValueError(f"vacillating step {trim(a)} -> {trim(b)} must be a box or equal")
+    elif a[-1] == 0:
+        raise ValueError(
+            f"vacillating step may repeat {trim(a)} only with all {len(a)} parts positive"
+        )
 
 
 def word_to_tableau(w: Word) -> TableauSeq:

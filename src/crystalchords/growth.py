@@ -36,8 +36,6 @@ from .weights import (
 
 Matrix = tuple[tuple[int, ...], ...]
 
-RULESETS = ("zero_one", "burge", "rsk")
-
 
 class InvalidOutput(Exception):
     """A growth filling whose forward sweep does not produce a family member."""
@@ -111,9 +109,18 @@ def cell_backward(rule: str, beta, delta, alpha) -> tuple[Partition, int]:
 
 
 def _check_adjacent(p: Partition, q: Partition, what: str) -> None:
-    kind, _ = step_classify(p, q)
-    if kind not in ("equal", "add_box"):
-        raise ValueError(f"{what}: {p} -> {q} must be equal or add one box")
+    """Canonical q equals p or adds one box to it."""
+    if p == q:
+        return
+    n = len(p)
+    if len(q) == n + 1:
+        if q[n] == 1 and q[:n] == p:
+            return
+    elif len(q) == n:
+        changed = [i for i in range(n) if p[i] != q[i]]
+        if len(changed) == 1 and q[changed[0]] == p[changed[0]] + 1:
+            return
+    raise ValueError(f"{what}: {p} -> {q} must be equal or add one box")
 
 
 def _forward_zero_one(gamma, delta, alpha, m) -> Partition:

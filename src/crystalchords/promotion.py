@@ -13,8 +13,9 @@ indices mod n, so no geometric cut-and-glue is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
-from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq
+from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq, check_step
 from .growth import blocksum
 from .virtual import iota_v_to_f, iota_v_to_o, iota_v_to_o_inverse
 from .weights import (
@@ -39,29 +40,34 @@ def local_rule(lam: WeightVec, kap: WeightVec, nu: WeightVec) -> Partition:
     return dominant_representative(vec_add(kap, vec_sub(nu, lam)))
 
 
-def fill_value(rule: str, lam: WeightVec, kap: WeightVec, nu: WeightVec) -> int:
-    """Number of negative entries of kappa + nu - lambda (osc: capped at one)."""
-    n = max(len(lam), len(kap), len(nu))
-    diff = vec_add(pad(kap, n), vec_sub(pad(nu, n), pad(lam, n)))
-    negatives = sum(1 for x in diff if x < 0)
-    if rule == "osc":
-        return 1 if negatives else 0
-    if rule == "fan":
-        return negatives
-    raise ValueError(f"unknown filling rule {rule!r}")
+def _sweep(prev: list[WeightVec], family: str) -> tuple[list[WeightVec], list[WeightVec]]:
+    """One local-rule promotion sweep over weight-zero steps padded to the rank.
+
+    Returns the padded steps of the promotion and, for each position
+    k = 1..n-1, the vector kappa + nu - lambda whose dominant representative
+    is step k.  Every new step, the last one into the empty partition
+    included, is checked against the family's step rule.
+    """
+    zero = prev[0]
+    row = [zero]
+    vecs = []
+    for k in range(1, len(prev) - 1):
+        v = tuple(map(add, row[-1], map(sub, prev[k + 1], prev[k])))
+        mu = tuple(sorted(map(abs, v), reverse=True))
+        check_step(family, row[-1], mu)
+        row.append(mu)
+        vecs.append(v)
+    check_step(family, row[-1], zero)
+    row.append(zero)
+    return row, vecs
 
 
-def _promote_steps(steps: tuple[Partition, ...], r: int) -> tuple[Partition, ...]:
-    """One local-rule promotion sweep over a weight-zero step sequence."""
-    n = len(steps) - 1
-    if n == 0:
+def _promote_steps(family: str, r: int, steps: tuple[Partition, ...]) -> tuple[Partition, ...]:
+    """Promotion of a weight-zero oscillating or fan step sequence."""
+    if len(steps) == 1:
         return steps
-    out: list[Partition] = [()]
-    for j in range(1, n):
-        mu = local_rule(pad(steps[j], r), pad(out[j - 1], r), pad(steps[j + 1], r))
-        out.append(trim(mu))
-    out.append(())
-    return tuple(out)
+    row, _ = _sweep([pad(p, r) for p in steps], family)
+    return tuple(trim(mu) for mu in row)
 
 
 def promote(t: TableauSeq) -> TableauSeq:
@@ -69,10 +75,11 @@ def promote(t: TableauSeq) -> TableauSeq:
     if t.weight != ():
         raise ValueError("promotion requires weight zero")
     if t.family == VACILLATING:
-        o = iota_v_to_o(t)
-        o = promote(promote(o))
-        return iota_v_to_o_inverse(o)
-    return TableauSeq(t.family, t.rank, _promote_steps(t.steps, t.rank))
+        steps = iota_v_to_o(t).steps
+        for _ in range(2):
+            steps = _promote_steps(OSCILLATING, t.rank, steps)
+        return iota_v_to_o_inverse(TableauSeq(OSCILLATING, t.rank, steps))
+    return TableauSeq(t.family, t.rank, _promote_steps(t.family, t.rank, t.steps))
 
 
 @dataclass(frozen=True)
@@ -104,19 +111,19 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
     if tag == "M_O":
         if t.family != OSCILLATING:
             raise ValueError("M_O expects an oscillating tableau")
-        return _promotion_fill(t, "osc")
+        return _promotion_fill(t)
     if tag == "M_F":
         if t.family != FAN:
             raise ValueError("M_F expects a fan of Dyck paths")
-        return _promotion_fill(t, "fan")
+        return _promotion_fill(t)
     if tag == "M_VO":
         if t.family != VACILLATING:
             raise ValueError("M_VO expects a vacillating tableau")
-        return blocksum(_promotion_fill(iota_v_to_o(t), "osc"), 2)
+        return blocksum(_promotion_fill(iota_v_to_o(t)), 2)
     if tag == "M_VF":
         if t.family != VACILLATING:
             raise ValueError("M_VF expects a vacillating tableau")
-        raw = blocksum(_promotion_fill(iota_v_to_f(t), "fan"), 2)
+        raw = blocksum(_promotion_fill(iota_v_to_f(t)), 2)
         # the doubled-length fan filling puts 2(r-1) in every diagonal block
         shift = 2 * (t.rank - 1)
         return tuple(
@@ -126,19 +133,32 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
     raise ValueError(f"unknown chord map {tag!r}")
 
 
-def _promotion_fill(t: TableauSeq, rule: str) -> Matrix:
-    grid = promotion_grid(t)
-    n = grid.length
-    r = grid.rank
+def _promotion_fill(t: TableauSeq) -> Matrix:
+    """Filling of the promotion matrix, cell (i, j) read off the sweep making pr^i(T).
+
+    For k = j - i mod n in 1..n-1 the cell's kappa + nu - lambda is the
+    vector the local rule forms at position k of row i; on the diagonal
+    lambda is empty, kappa the last inner step of pr^i(T) and nu the first
+    step of pr^(i-1)(T).  The filling counts the negative entries of that
+    vector, capped at one for an oscillating tableau.
+    """
+    n = len(t)
+    if n == 0:
+        return ()
+    if t.weight != ():
+        raise ValueError("promotion requires weight zero")
+    row = [pad(p, t.rank) for p in t.steps]
     out = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            lam = pad(grid.entry(i - 1, j - 1), r)
-            kap = pad(grid.entry(i, j - 1), r)
-            nu = pad(grid.entry(i - 1, j), r)
-            row.append(fill_value(rule, lam, kap, nu))
-        out.append(tuple(row))
+    for i in range(n):
+        nxt, vecs = _sweep(row, t.family)
+        diag = tuple(map(add, nxt[n - 1], row[1]))
+        if t.family == OSCILLATING:
+            fills = [1 if min(v) < 0 else 0 for v in [diag, *vecs]]
+        else:
+            fills = [sum(x < 0 for x in v) for v in [diag, *vecs]]
+        s = -i % n
+        out.append(tuple(fills[s:] + fills[:s]))
+        row = nxt
     return tuple(out)
 
 

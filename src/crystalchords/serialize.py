@@ -10,7 +10,6 @@ barred letters as negative integers and the zero letter as ``0``.
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 from .crystals import SPIN, TableauSeq, Word
 from .weights import Partition, partition
@@ -27,10 +26,6 @@ def parse_partition(value) -> Partition:
             raise ValueError(f"compact partition {value!r} must be digits")
         return partition(int(ch) for ch in text)
     return partition(value)
-
-
-def partition_to_json(p: Partition) -> list[int]:
-    return list(p)
 
 
 def parse_tableau(value, family: str | None = None, rank: int | None = None) -> TableauSeq:
@@ -124,7 +119,3 @@ def render_tableau(t: TableauSeq) -> str:
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def triangle_to_json(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(r) for r in rows]

@@ -11,6 +11,7 @@ by convention: a weight vector becomes a partition only through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
@@ -19,12 +20,12 @@ WeightVec = tuple[int, ...]
 
 def partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a weakly decreasing sequence into a partition."""
-    p = tuple(int(x) for x in parts)
-    if any(a < b for a, b in zip(p, p[1:])):
+    p = tuple(map(int, parts))
+    if any(map(lt, p, p[1:])):
         raise ValueError(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part: {p}")
-    return trim(p)
+    return trim(p) if p and p[-1] == 0 else p
 
 
 def trim(parts: Sequence[int]) -> Partition:
@@ -83,12 +84,6 @@ def intersect_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
     """Row-wise minimum of two partitions."""
     n = max(len(p), len(q))
     return trim(tuple(min(a, b) for a, b in zip(pad(p, n), pad(q, n))))
-
-
-def contains(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True if the diagram of q contains the diagram of p row by row."""
-    n = max(len(p), len(q))
-    return all(a <= b for a, b in zip(pad(p, n), pad(q, n)))
 
 
 StepKind = tuple[str, int | None]

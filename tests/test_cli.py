@@ -141,3 +141,48 @@ def test_tableau_input_file(tmp_path, capsys):
     path.write_text(json.dumps(tableau_to_json(t)))
     code, out, _ = run(capsys, "promote", "--input", str(path))
     assert code == 0 and out.strip() == "00,11,00"
+
+
+def test_verify_reports_an_exception_as_a_counterexample(capsys, monkeypatch):
+    from crystalchords import cli
+
+    def check(t):
+        if t.steps == ((), (1,), (1, 1), (1,), ()):
+            raise ValueError("injected fault")
+        return None
+
+    monkeypatch.setitem(cli._SUITE_CHECK, "osc-main", check)
+    code, out, _ = run(capsys, "verify", "osc-main", "--r", "2", "--n", "4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["counterexamples"] == [
+        {"family": "oscillating", "r": 2, "tableau": "00,10,11,10,00", "reason": "exception: ValueError: injected fault"}
+    ]
+
+
+def test_verify_jobs_two_prints_the_bytes_of_jobs_one(capsys):
+    code1, out1, _ = run(capsys, "verify", "osc-main", "--jobs", "1")
+    code2, out2, _ = run(capsys, "verify", "osc-main", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2 and json.loads(out1)["instances"] == 250
+
+
+def test_verify_rule_inversion_reports_an_exception_as_a_counterexample(capsys, monkeypatch):
+    from crystalchords import cli
+
+    original = cli.cell_backward
+    calls = []
+
+    def cell_backward(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise ValueError("injected fault")
+        return original(*args)
+
+    monkeypatch.setattr(cli, "cell_backward", cell_backward)
+    code, out, _ = run(capsys, "verify", "rule-inversion", "--cases", "30")
+    assert code == 1
+    (failure,) = json.loads(out)["counterexamples"]
+    assert failure["reason"] == "exception: ValueError: injected fault"
+    assert failure["rule"] == "burge"

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,10 +26,13 @@ from crystalchords.crystals import (
     tableau,
     tableau_to_word,
     tensor_apply,
+    validate_tableau,
     word_to_tableau,
     word_weight,
 )
 from crystalchords.weights import root_system, vec_sub
+
+import oracles
 
 FAN3_WORD = Word(SPIN, 3, ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1)))
 FAN3_STEPS = ((), (1, 1, 1), (2, 2), (1, 1, 1), ())
@@ -270,3 +275,34 @@ def test_enumerate_zero_prefix_splitting():
     assert enumerate_zero(FAN, 2, 6, prefix=[(), (2,)]) == []
     with pytest.raises(ValueError):
         enumerate_zero(FAN, 2, 2, prefix=[(1, 1)])
+
+
+def _validation_outcome(validate, family, r, steps):
+    try:
+        validate(SimpleNamespace(family=family, rank=r, steps=steps))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_validate_tableau_matches_step_classify_oracle(r):
+    """Same verdict and message as classifying every step, on canonical and malformed input."""
+    canonical = [
+        tuple(sorted(c, reverse=True))
+        for k in range(r + 2)
+        for c in itertools.combinations_with_replacement((1, 2), k)
+    ]
+    malformed = [(0,), (1, 0), (1, 2), (-1,), [1], (2, 0, 0)]
+    pool = canonical + malformed  # canonical includes partitions with r + 1 parts
+    fitting = [p for p in canonical if len(p) <= r]
+    sequences = [(), *itertools.product(pool, repeat=1), *itertools.product(pool, repeat=2)]
+    for k in range(1, 5):
+        sequences += [((), *rest) for rest in itertools.product(fitting, repeat=k)]
+    accepted = 0
+    for family in (OSCILLATING, FAN, VACILLATING, "other"):
+        for steps in sequences:
+            want = _validation_outcome(oracles.validate_tableau, family, r, steps)
+            assert _validation_outcome(validate_tableau, family, r, steps) == want, (family, steps)
+            accepted += want is None
+    assert accepted > 10

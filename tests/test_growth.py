@@ -331,3 +331,25 @@ def test_rule_inversion_backward_first():
             assert cell_forward(rule, g, d, a, m) == b
             done += 1
     assert done >= 5000
+
+
+def test_check_adjacent_matches_step_classify():
+    """'Equal or adds one box' agrees with the step classification on all small pairs."""
+    import itertools
+
+    from crystalchords.growth import _check_adjacent
+    from crystalchords.weights import step_classify
+
+    shapes = [
+        tuple(sorted(c, reverse=True))
+        for k in range(5)
+        for c in itertools.combinations_with_replacement((1, 2, 3), k)
+    ]
+    for p, q in itertools.product(shapes, repeat=2):
+        try:
+            _check_adjacent(p, q, "cell")
+            ok = True
+        except ValueError as exc:
+            assert str(exc) == f"cell: {p} -> {q} must be equal or add one box"
+            ok = False
+        assert ok == (step_classify(p, q)[0] in ("equal", "add_box")), (p, q)

@@ -20,13 +20,15 @@ from crystalchords.fixtures import (
 )
 from crystalchords.promotion import (
     chord_matrix,
-    fill_value,
     local_rule,
     promote,
     promotion_grid,
     rotate_matrix,
 )
 from crystalchords.virtual import iota_f_to_o
+
+import oracles
+from oracles import fill_value
 
 
 def test_local_rule_examples():
@@ -168,3 +170,49 @@ def test_vacillating_chord_routes_agree(r, nmax):
     for n in range(nmax + 1):
         for v in enumerate_zero(VACILLATING, r, n):
             assert chord_matrix("M_VO", v) == chord_matrix("M_VF", v)
+
+
+# the one-sweep filling against the two-pass definition, on every tableau
+ORACLE_SCALES = [
+    (OSCILLATING, ("M_O",), 3, 8),
+    (FAN, ("M_F",), 3, 6),
+    (VACILLATING, ("M_VO", "M_VF"), 2, 6),
+]
+
+
+@pytest.mark.parametrize("family,tags,rmax,nmax", ORACLE_SCALES)
+def test_chord_matrix_matches_two_pass_definition(family, tags, rmax, nmax):
+    for r in range(1, rmax + 1):
+        for n in range(nmax + 1):
+            for t in enumerate_zero(family, r, n):
+                for tag in tags:
+                    assert chord_matrix(tag, t) == oracles.chord_matrix(tag, t), (tag, t)
+
+
+@pytest.mark.parametrize("family,rmax,nmax", [(OSCILLATING, 3, 8), (FAN, 3, 6)])
+def test_promotion_grid_matches_local_rule_sweep(family, rmax, nmax):
+    for r in range(1, rmax + 1):
+        for n in range(nmax + 1):
+            for t in enumerate_zero(family, r, n):
+                assert promotion_grid(t) == oracles.promotion_grid(t)
+
+
+def test_sweep_checks_every_new_step():
+    """The sweep raises validation's message on a step its family forbids."""
+    from crystalchords.promotion import _sweep
+
+    row, vecs = _sweep([(0,), (1,), (0,)], OSCILLATING)
+    assert row == [(0,), (1,), (0,)] and vecs == [(-1,)]
+    with pytest.raises(ValueError, match=r"^oscillating step \(\) -> \(2,\) must add or remove one box$"):
+        _sweep([(0,), (2,), (0,)], OSCILLATING)
+    # the last step, into the empty partition, is checked too
+    with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
+        _sweep([(0,), (1,), (2,), (3,)], OSCILLATING)
+    with pytest.raises(ValueError, match=r"^fan step \(\) -> \(2,\) must change every part by one$"):
+        _sweep([(0,), (1,), (3,), (0,)], FAN)
+
+
+def test_chord_matrix_requires_weight_zero():
+    with pytest.raises(ValueError, match="weight zero"):
+        chord_matrix("M_O", tableau(OSCILLATING, 1, [(), (1,)]))
+    assert chord_matrix("M_O", tableau(OSCILLATING, 1, [()])) == ()
