@@ -61,6 +61,11 @@ def letters(kind: str, r: int) -> tuple:
     raise ValueError(f"unknown crystal kind {kind!r}")
 
 
+def cvec_order(x: int, r: int) -> int:
+    """Position of a C-letter in the order 1 < ... < r < -r < ... < -1 of :func:`letters`."""
+    return x if x > 0 else 2 * r + 1 + x
+
+
 def is_letter(kind: str, r: int, x) -> bool:
     if kind == CVEC:
         return isinstance(x, int) and x != 0 and abs(x) <= r
@@ -391,23 +396,24 @@ def enumerate_zero(
     if not start or start[0] != () or len(start) > n + 1:
         raise ValueError("prefix must start empty and fit the length")
     results: list[TableauSeq] = []
-
-    def extend(steps: list[Partition], remaining: int) -> None:
-        if remaining == 0:
-            results.append(TableauSeq(family, r, tuple(steps)))
-            return
-        for q in _children(family, r, steps[-1]):
-            if _feasible(family, r, q, remaining - 1):
-                steps.append(q)
-                extend(steps, remaining - 1)
-                steps.pop()
-
     for p, q in zip(start, start[1:]):
         if q not in _children(family, r, p):
             return []
     if _feasible(family, r, start[-1], n - len(start) + 1):
-        extend(start, n - len(start) + 1)
+        _extend(family, r, start, n - len(start) + 1, results)
     return results
+
+
+def _extend(family: str, r: int, steps: list, remaining: int, results: list) -> None:
+    # not a closure: a recursive closure is a cycle that outlives the call until gc runs
+    if remaining == 0:
+        results.append(TableauSeq(family, r, tuple(steps)))
+        return
+    for q in _children(family, r, steps[-1]):
+        if _feasible(family, r, q, remaining - 1):
+            steps.append(q)
+            _extend(family, r, steps, remaining - 1, results)
+            steps.pop()
 
 
 def iter_words(kind: str, r: int, n: int) -> Iterator[Word]:

@@ -4,6 +4,13 @@ Polynomials are tuples of integer coefficients indexed by exponent, with
 trailing zeros trimmed; all arithmetic is exact.  The sieving criterion is
 purely integral: a polynomial f sieves for an action of order N on X iff
 f mod (q^N - 1) equals the orbit polynomial sum_orbits sum_j q^(j N / s).
+
+The local energy of B_r spin letters a (x) b (a the left factor) is ceil(k / 2),
+where k is the largest value over j = 0..r of the number of minus signs among
+a_1..a_j minus the number among b_1..b_j.  No raising operator changes k (check
+the signature rule at positions i, i + 1), and at the classical highest weight
+(+^(r-k) -^k) (x) (+^r), where H = ceil(k / 2) by definition, k counts the
+minus signs of the left factor.
 """
 
 from __future__ import annotations
@@ -15,14 +22,14 @@ from .crystals import (
     BVEC,
     CVEC,
     FAMILY_KIND,
-    RAISE,
     SPIN,
     TableauSeq,
     Word,
+    cvec_order,
     enumerate_zero,
     is_highest,
+    is_letter,
     tableau_to_word,
-    tensor_apply,
 )
 from .promotion import promote
 
@@ -126,10 +133,6 @@ def poly_str(p: Sequence[int]) -> str:
 # -------------------------------------------------------------------- energy
 
 
-def _cvec_order(x: int, r: int) -> int:
-    return x if x > 0 else 2 * r + 1 + x
-
-
 def _bvec_order(x: int, r: int) -> int:
     if x > 0:
         return x
@@ -141,7 +144,7 @@ def _bvec_order(x: int, r: int) -> int:
 def local_energy(kind: str, r: int, a, b) -> int:
     """Local energy of the pair a (x) b (a the left factor)."""
     if kind == CVEC:
-        return 0 if _cvec_order(a, r) <= _cvec_order(b, r) else 1
+        return 0 if cvec_order(a, r) <= cvec_order(b, r) else 1
     if kind == BVEC:
         if a == -1 and b == 1:
             return 2
@@ -154,24 +157,15 @@ def local_energy(kind: str, r: int, a, b) -> int:
 
 
 def _spin_pair_energy(r: int, a, b) -> int:
-    # raise the pair to its classical highest weight (eps, +...+); the local
-    # energy is constant along the way
-    w = Word(SPIN, r, (b, a))  # left factor last
-    limit = 4 * r * (r + 1)
-    for _ in range(limit):
-        for i in range(1, r + 1):
-            up = tensor_apply(w, i, RAISE)
-            if up is not None:
-                w = up
-                break
-        else:
-            break
-    else:
-        raise AssertionError("classical raising did not terminate")
-    right, left = w.letters
-    assert right == (1,) * r, "classical highest weight pair must end in all +"
-    minus = sum(1 for s in left if s == -1)
-    return (minus + 1) // 2
+    for x in (a, b):
+        if not is_letter(SPIN, r, x):
+            raise ValueError(f"{x!r} is not a {SPIN} letter of rank {r}")
+    k = excess = 0
+    for x, y in zip(a, b):
+        excess += (y - x) // 2
+        if excess > k:
+            k = excess
+    return (k + 1) // 2
 
 
 def energy(w: Word) -> int:

@@ -14,6 +14,7 @@ from .crystals import (
     VACILLATING,
     TableauSeq,
     Word,
+    cvec_order,
     letter_weight,
     tensor_apply,
 )
@@ -22,11 +23,6 @@ from .weights import pad, trim, unit_vector, vec_add, vec_sub
 
 class NotInImage(Exception):
     """A tableau is valid but not the image of the requested embedding."""
-
-
-def _cvec_key(x: int, r: int) -> int:
-    """Position of a C-letter in the order 1 < ... < r < -r < ... < -1."""
-    return x if x > 0 else 2 * r + 1 + x
 
 
 def psi_spin(eps: tuple, r: int) -> tuple:
@@ -38,7 +34,7 @@ def psi_spin(eps: tuple, r: int) -> tuple:
     if len(eps) != r:
         raise ValueError(f"spin letter must have length {r}")
     out = [i if s == 1 else -i for i, s in enumerate(eps, start=1)]
-    return tuple(sorted(out, key=lambda x: _cvec_key(x, r)))
+    return tuple(sorted(out, key=lambda x: cvec_order(x, r)))
 
 
 def psi_vec(b: int, r: int) -> tuple:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from crystalchords.crystals import FAMILIES, FAN, OSCILLATING
+from crystalchords.crystals import FAMILIES, FAN, OSCILLATING, RAISE, SPIN, Word, tensor_apply
 from crystalchords.growth import blocksum
 from crystalchords.promotion import PromotionGrid, local_rule
 from crystalchords.virtual import iota_v_to_f, iota_v_to_o
@@ -116,3 +116,27 @@ def validate_tableau(t) -> None:
                     )
             elif kind not in ("add_box", "remove_box"):
                 raise ValueError(f"vacillating step {p} -> {q} must be a box or equal")
+
+
+def spin_pair_energy_by_raising(r: int, a, b) -> int:
+    """Local energy of spin letters a (x) b (a the left factor), by classical raising.
+
+    Raises the pair to its classical highest weight (+^(r-k) -^k) (x) (+^r),
+    along which the local energy is constant, and returns ceil(k / 2).
+    """
+    w = Word(SPIN, r, (b, a))  # left factor last
+    limit = 4 * r * (r + 1)
+    for _ in range(limit):
+        for i in range(1, r + 1):
+            up = tensor_apply(w, i, RAISE)
+            if up is not None:
+                w = up
+                break
+        else:
+            break
+    else:
+        raise AssertionError("classical raising did not terminate")
+    right, left = w.letters
+    assert right == (1,) * r, "classical highest weight pair must end in all +"
+    minus = sum(1 for s in left if s == -1)
+    return (minus + 1) // 2

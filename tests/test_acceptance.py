@@ -3,10 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
 """
 
-import random
 import time
 from fractions import Fraction
 
+from crystalchords.cli import rule_inversion_cells
 from crystalchords.crystals import (
     FAN,
     OSCILLATING,
@@ -31,7 +31,6 @@ from crystalchords.growth import blowup, cell_backward, cell_forward, growth_mat
 from crystalchords.promotion import chord_matrix, promote, rotate_matrix
 from crystalchords.sieving import csp_check, f_poly, g_poly, h_poly, syt_h_poly
 from crystalchords.virtual import iota_f_to_o, iota_v_to_o
-from crystalchords.weights import is_partition, pad, trim
 
 
 def _report(name):
@@ -119,55 +118,11 @@ def test_criterion_4_structural_properties():
 
 
 def test_criterion_5_rule_inversion():
-    rng = random.Random(424242)
-
-    def rand_partition():
-        parts = sorted((rng.randint(0, 4) for _ in range(rng.randint(0, 4))), reverse=True)
-        return trim(tuple(parts))
-
-    def one_box(p):
-        opts = [p]
-        q = list(pad(p, len(p) + 1))
-        for i in range(len(q)):
-            cand = q[:]
-            cand[i] += 1
-            if is_partition(cand):
-                opts.append(trim(tuple(cand)))
-        return opts[rng.randrange(len(opts))]
-
-    def vertical(p):
-        q = list(pad(p, len(p) + 1))
-        for i in range(len(q)):
-            if rng.random() < 0.5:
-                cand = q[:]
-                cand[i] += 1
-                if is_partition(cand):
-                    q = cand
-        return trim(tuple(q))
-
-    def horizontal(p):
-        q = list(pad(p, len(p) + 1))
-        out = []
-        cap = q[0] + rng.randint(0, 3)
-        for i in range(len(q)):
-            hi = min(cap, q[i - 1] if i else q[i] + 3)
-            out.append(rng.randint(q[i], max(q[i], hi)))
-            cap = q[i]
-        return trim(tuple(out))
-
     cases = 0
-    while cases < 10002:
-        g = rand_partition()
-        d, a = one_box(g), one_box(g)
-        m = rng.randint(0, 1) if d == g == a else 0
-        assert cell_backward("zero_one", cell_forward("zero_one", g, d, a, m), d, a) == (g, m)
-        d, a = vertical(g), vertical(g)
-        m = rng.randint(0, 3)
-        assert cell_backward("burge", cell_forward("burge", g, d, a, m), d, a) == (g, m)
-        d, a = horizontal(g), horizontal(g)
-        m = rng.randint(0, 3)
-        assert cell_backward("rsk", cell_forward("rsk", g, d, a, m), d, a) == (g, m)
-        cases += 3
+    for rule, g, d, a, m in rule_inversion_cells(10002, 424242):
+        assert cell_backward(rule, cell_forward(rule, g, d, a, m), d, a) == (g, m), (rule, g, d, a, m)
+        cases += 1
+    assert cases == 10002
     _report(f"criterion-5 rule inversion on {cases} generated cells")
 
 

@@ -186,3 +186,19 @@ def test_verify_rule_inversion_reports_an_exception_as_a_counterexample(capsys, 
     (failure,) = json.loads(out)["counterexamples"]
     assert failure["reason"] == "exception: ValueError: injected fault"
     assert failure["rule"] == "burge"
+
+
+@pytest.mark.parametrize("conjecture, code", [((), 1), (("--conjecture",), 0)])
+def test_csp_reports_an_exception_in_the_sieve_check(capsys, monkeypatch, conjecture, code):
+    from crystalchords import sieving
+
+    def orbit_decomposition(elements, order, action):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(sieving, "orbit_decomposition", orbit_decomposition)
+    got, out, _ = run(capsys, "csp", "--family", "fan", "--r", "2", "--n", "4", "--poly", "f", *conjecture)
+    assert got == code
+    payload = json.loads(out)
+    assert payload["holds"] is False
+    assert payload["reason"] == "exception: ValueError: injected fault"
+    assert (payload["family"], payload["set_size"], payload["conjecture"]) == ("fan", 3, bool(conjecture))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from crystalchords.crystals import (
     Word,
     all_prefixes_dominant,
     apply_letter_op,
+    cvec_order,
     enumerate_zero,
     is_highest,
     iter_words,
@@ -262,6 +264,21 @@ def test_vacillating_highest_characterization(r, n):
                 break
             sums.append(nxt)
         assert is_highest(w) == ok, w
+
+
+def test_enumerate_zero_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_zero(FAN, 3, 6)) == 30
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cvec_order_follows_letters(r):
+    assert [cvec_order(x, r) for x in letters(CVEC, r)] == list(range(1, 2 * r + 1))
 
 
 def test_enumerate_zero_prefix_splitting():

@@ -37,6 +37,8 @@ from crystalchords.sieving import (
     syt_h_poly,
 )
 
+from oracles import spin_pair_energy_by_raising
+
 
 def test_poly_arithmetic():
     assert poly_trim((1, 0, 2, 0, 0)) == (1, 0, 2)
@@ -71,6 +73,28 @@ def test_local_energy_spin():
     assert local_energy(SPIN, 2, (1, -1), (1, 1)) == 1
     assert local_energy(SPIN, 2, (-1, -1), (-1, -1)) == 0
     assert local_energy(SPIN, 3, (-1, -1, -1), (1, 1, 1)) == 2
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_spin_energy_matches_classical_raising(r):
+    for a in letters(SPIN, r):
+        for b in letters(SPIN, r):
+            assert local_energy(SPIN, r, a, b) == spin_pair_energy_by_raising(r, a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((1, 1), (1, 1, 1)),  # the right factor is one sign too long
+        ((1,), (1, 1)),  # the left factor is one sign short
+        ((1, 0), (1, 1)),
+        ((1, 1), [1, 1]),
+        (1, (1, 1)),
+    ],
+)
+def test_spin_energy_rejects_what_is_not_a_rank_r_letter(a, b):
+    with pytest.raises(ValueError, match="is not a spin letter of rank 2"):
+        local_energy(SPIN, 2, a, b)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
