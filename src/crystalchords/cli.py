@@ -44,7 +44,7 @@ from .serialize import (
     render_tableau,
     tableau_to_json,
 )
-from .sieving import csp_check, f_poly, g_poly, h_poly, poly_str
+from .sieving import csp_check, energy_poly, g_poly, major_poly, poly_str
 from .virtual import iota_f_to_o, iota_v_to_o
 from .weights import is_partition, pad, trim
 
@@ -412,7 +412,7 @@ def cmd_csp(args) -> int:
     n, r = args.n, args.r
     items = enumerate_zero(family, r, n)
     if args.poly == "f":
-        poly = f_poly(family, r, n)
+        poly = energy_poly(family, r, n, items)
     elif args.poly == "g":
         if family != FAN:
             raise UsageError("--poly g applies to fans")
@@ -422,7 +422,7 @@ def cmd_csp(args) -> int:
     elif args.poly == "h":
         if family != VACILLATING:
             raise UsageError("--poly h applies to vacillating tableaux")
-        poly = h_poly(n, r)
+        poly = major_poly(items)
     else:
         raise UsageError(f"unknown polynomial {args.poly!r}")
     order = n or 1

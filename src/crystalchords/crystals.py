@@ -17,7 +17,7 @@ products is re-indexed here and nowhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .weights import (
     Partition,
@@ -189,18 +189,6 @@ def _suffix_stats(w: Word, i: int) -> list[tuple[int, int]]:
     return stats
 
 
-def string_stats(kind: str, r: int, i: int, w) -> tuple[int, int]:
-    """(eps_i, phi_i) of a letter or a word, by repeated application."""
-    if isinstance(w, Word):
-        if len(w) == 0:
-            return (0, 0)
-        return _suffix_stats(w, i)[0]
-    return (
-        _letter_stat(kind, r, i, RAISE, w),
-        _letter_stat(kind, r, i, LOWER, w),
-    )
-
-
 def tensor_apply(w: Word, i: int, direction: str) -> Word | None:
     """Apply e_i or f_i to a word via the tensor product rule; None if annihilated.
 
@@ -246,14 +234,6 @@ def prefix_weights(w: Word) -> list[WeightVec]:
     for x in w.letters:
         out.append(vec_add(out[-1], letter_weight(w.kind, w.rank, x)))
     return out
-
-
-def all_prefixes_dominant(w: Word) -> bool:
-    """Prefix-dominance test; equivalent to is_highest for the minuscule kinds."""
-    return all(
-        all(a >= b for a, b in zip(mu, mu[1:])) and mu[-1] >= 0
-        for mu in prefix_weights(w)[1:]
-    )
 
 
 @dataclass(frozen=True)
@@ -414,17 +394,3 @@ def _extend(family: str, r: int, steps: list, remaining: int, results: list) -> 
             steps.append(q)
             _extend(family, r, steps, remaining - 1, results)
             steps.pop()
-
-
-def iter_words(kind: str, r: int, n: int) -> Iterator[Word]:
-    """All words of the crystal of the given length (for brute-force checks)."""
-    alphabet = letters(kind, r)
-
-    def rec(prefix: tuple) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield Word(kind, r, prefix)
-            return
-        for x in alphabet:
-            yield from rec(prefix + (x,))
-
-    yield from rec(())

@@ -10,6 +10,9 @@ with a non-negative filling m.  Forward rules compute beta from
 (beta, delta, alpha).  Three rule sets are supported: "zero_one" for 0/1
 fillings where adjacent labels differ by at most a box, "burge" for
 vertical-strip labellings and "rsk" for horizontal-strip labellings.
+Only the public cell_forward/cell_backward canonicalise corners and look up
+a rule by name; a sweep looks its rule up once and trusts the canonical
+corners it builds.  Every local rule still checks its corners and filling.
 
 Triangular diagrams use corners alpha[i][j] for 0 <= j <= i <= n laid out
 with the hypotenuse alpha[k][k] on the main diagonal (row index growing
@@ -21,6 +24,8 @@ labelling above this reads alpha=NW, beta=NE, gamma=SW, delta=SE.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq
 from .weights import (
     Partition,
@@ -30,7 +35,6 @@ from .weights import (
     is_vertical_strip,
     pad,
     partition,
-    step_classify,
     trim,
 )
 
@@ -66,65 +70,41 @@ def _remove_box(p: Partition, row: int) -> Partition:
     return trim(tuple(q))
 
 
-def _box_row(small: Partition, large: Partition) -> int:
-    """Row of the single cell of large/small (1-based)."""
-    kind, row = step_classify(small, large)
-    if kind != "add_box":
-        raise ValueError(f"{large}/{small} is not a single box")
-    return row
-
-
 def cell_forward(rule: str, gamma, delta, alpha, m: int) -> Partition:
     """Complete the NE corner of a cell from the other three and the filling."""
-    gamma, delta, alpha = partition(gamma), partition(delta), partition(alpha)
     if m < 0:
         raise ValueError("filling must be non-negative")
-    if rule == "zero_one":
-        return _forward_zero_one(gamma, delta, alpha, m)
-    if rule == "burge":
-        if not (is_vertical_strip(gamma, delta) and is_vertical_strip(gamma, alpha)):
-            raise ValueError("burge cell needs vertical strips over gamma")
-        return _forward_carry(gamma, delta, alpha, m, burge=True)
-    if rule == "rsk":
-        if not (is_horizontal_strip(gamma, delta) and is_horizontal_strip(gamma, alpha)):
-            raise ValueError("rsk cell needs horizontal strips over gamma")
-        return _forward_carry(gamma, delta, alpha, m, burge=False)
-    raise ValueError(f"unknown rule set {rule!r}")
+    gamma, delta, alpha = partition(gamma), partition(delta), partition(alpha)
+    if rule not in _RULES:
+        raise ValueError(f"unknown rule set {rule!r}")
+    return _RULES[rule][0](gamma, delta, alpha, m)
 
 
 def cell_backward(rule: str, beta, delta, alpha) -> tuple[Partition, int]:
     """Recover the SW corner and the filling from the other three corners."""
     beta, delta, alpha = partition(beta), partition(delta), partition(alpha)
-    if rule == "zero_one":
-        return _backward_zero_one(beta, delta, alpha)
-    if rule == "burge":
-        if not (is_vertical_strip(delta, beta) and is_vertical_strip(alpha, beta)):
-            raise ValueError("burge cell needs vertical strips under beta")
-        return _backward_carry(beta, delta, alpha, burge=True)
-    if rule == "rsk":
-        if not (is_horizontal_strip(delta, beta) and is_horizontal_strip(alpha, beta)):
-            raise ValueError("rsk cell needs horizontal strips under beta")
-        return _backward_carry(beta, delta, alpha, burge=False)
-    raise ValueError(f"unknown rule set {rule!r}")
+    if rule not in _RULES:
+        raise ValueError(f"unknown rule set {rule!r}")
+    return _RULES[rule][1](beta, delta, alpha)
 
 
-def _check_adjacent(p: Partition, q: Partition, what: str) -> None:
-    """Canonical q equals p or adds one box to it."""
+def _check_adjacent(p: Partition, q: Partition, what: str) -> int:
+    """Canonical q equals p or adds one box to it; the row (1-based) of that box, else 0."""
     if p == q:
-        return
+        return 0
     n = len(p)
     if len(q) == n + 1:
         if q[n] == 1 and q[:n] == p:
-            return
+            return n + 1
     elif len(q) == n:
         changed = [i for i in range(n) if p[i] != q[i]]
         if len(changed) == 1 and q[changed[0]] == p[changed[0]] + 1:
-            return
+            return changed[0] + 1
     raise ValueError(f"{what}: {p} -> {q} must be equal or add one box")
 
 
 def _forward_zero_one(gamma, delta, alpha, m) -> Partition:
-    _check_adjacent(gamma, delta, "zero_one cell")
+    row = _check_adjacent(gamma, delta, "zero_one cell")
     _check_adjacent(gamma, alpha, "zero_one cell")
     if m not in (0, 1):
         raise ValueError("zero_one filling must be 0 or 1")
@@ -140,11 +120,11 @@ def _forward_zero_one(gamma, delta, alpha, m) -> Partition:
         return delta  # F3
     if delta != alpha:
         return _union_max(delta, alpha)  # F4
-    return _add_box(delta, _box_row(gamma, delta) + 1)  # F5
+    return _add_box(delta, row + 1)  # F5
 
 
 def _backward_zero_one(beta, delta, alpha) -> tuple[Partition, int]:
-    _check_adjacent(delta, beta, "zero_one cell")
+    row = _check_adjacent(delta, beta, "zero_one cell")
     _check_adjacent(alpha, beta, "zero_one cell")
     if beta == delta == alpha:
         return beta, 0  # B1
@@ -154,13 +134,17 @@ def _backward_zero_one(beta, delta, alpha) -> tuple[Partition, int]:
         return delta, 0  # B3
     if delta != alpha:
         return intersect_parts(delta, alpha), 0  # B4
-    row = _box_row(delta, beta)
     if row >= 2:
         return _remove_box(delta, row - 1), 0  # B5
     return delta, 1  # B6
 
 
 def _forward_carry(gamma, delta, alpha, m, burge: bool) -> Partition:
+    if burge:
+        if not (is_vertical_strip(gamma, delta) and is_vertical_strip(gamma, alpha)):
+            raise ValueError("burge cell needs vertical strips over gamma")
+    elif not (is_horizontal_strip(gamma, delta) and is_horizontal_strip(gamma, alpha)):
+        raise ValueError("rsk cell needs horizontal strips over gamma")
     # the carry empties within two extra rows per accumulated box
     n = 2 * max(len(gamma), len(delta), len(alpha)) + m + 3
     g, d, a = pad(gamma, n), pad(delta, n), pad(alpha, n)
@@ -184,6 +168,11 @@ def _forward_carry(gamma, delta, alpha, m, burge: bool) -> Partition:
 
 
 def _backward_carry(beta, delta, alpha, burge: bool) -> tuple[Partition, int]:
+    if burge:
+        if not (is_vertical_strip(delta, beta) and is_vertical_strip(alpha, beta)):
+            raise ValueError("burge cell needs vertical strips under beta")
+    elif not (is_horizontal_strip(delta, beta) and is_horizontal_strip(alpha, beta)):
+        raise ValueError("rsk cell needs horizontal strips under beta")
     n = len(beta)
     b, d, a = pad(beta, n), pad(delta, n), pad(alpha, n)
     gamma = [0] * n
@@ -202,6 +191,13 @@ def _backward_carry(beta, delta, alpha, burge: bool) -> tuple[Partition, int]:
         raise ValueError(f"no valid SW corner for {beta}, {delta}, {alpha}")
     return trim(tuple(gamma)), carry
 
+
+# rule name -> (forward, backward) local rule on canonical corners
+_RULES = {
+    "zero_one": (_forward_zero_one, _backward_zero_one),
+    "burge": (partial(_forward_carry, burge=True), partial(_backward_carry, burge=True)),
+    "rsk": (partial(_forward_carry, burge=False), partial(_backward_carry, burge=False)),
+}
 
 _FAMILY_RULE = {OSCILLATING: "zero_one", FAN: "burge", VACILLATING: "rsk"}
 
@@ -230,7 +226,7 @@ def _backward_sweep(t: TableauSeq):
     """Solve every cell by increasing diagonal distance; corners and fillings."""
     if t.weight != ():
         raise ValueError("growth diagrams require weight zero")
-    rule = _FAMILY_RULE[t.family]
+    backward = _RULES[_FAMILY_RULE[t.family]][1]
     n = len(t)
     corners = _seed_corners(t)
     fill: dict[tuple[int, int], int] = {}
@@ -240,7 +236,7 @@ def _backward_sweep(t: TableauSeq):
             beta = corners[(i - 1, j)]
             delta = corners[(i, j)]
             alpha = corners[(i - 1, j - 1)]
-            gamma, m = cell_backward(rule, beta, delta, alpha)
+            gamma, m = backward(beta, delta, alpha)
             corners[(i, j - 1)] = gamma
             fill[(i, j)] = m
     return corners, fill
@@ -288,8 +284,12 @@ def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> Tableau
     Raises :class:`InvalidOutput` when the hypotenuse is not a valid
     weight-zero member of the family (the filling lies outside the image).
     """
-    if _FAMILY_RULE[family] != rule:
+    if _FAMILY_RULE.get(family) != rule:
         raise ValueError(f"rule {rule!r} does not build {family} tableaux")
+    for i, row in enumerate(triangle, start=1):
+        if len(row) != i or not all(isinstance(x, int) and x >= 0 for x in row):
+            raise ValueError(f"triangle row {i} must hold {i} non-negative integers")
+    forward = _RULES[rule][0]
     # an empty triangle encodes the empty tableau (length 1 has no weight-zero members)
     n = len(triangle) + 1 if triangle else 0
     corners: dict[tuple[int, int], Partition] = {}
@@ -303,18 +303,15 @@ def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> Tableau
             delta = corners[(i, j)]
             alpha = corners[(i - 1, j - 1)]
             m = triangle[i - 2][j - 1]
-            corners[(i - 1, j)] = cell_forward(rule, gamma, delta, alpha, m)
+            corners[(i - 1, j)] = forward(gamma, delta, alpha, m)
     hypotenuse = [corners[(k, k)] for k in range(n + 1)]
     try:
         if family == VACILLATING:
-            steps = []
-            for k, mu in enumerate(hypotenuse):
-                if any(x % 2 for x in mu):
-                    raise ValueError(f"hypotenuse label {mu} is not doubled")
-                steps.append(tuple(x // 2 for x in mu))
-            t = TableauSeq(family, _infer_rank(family, steps), tuple(steps))
-        else:
-            t = TableauSeq(family, _infer_rank(family, hypotenuse), tuple(hypotenuse))
+            odd = [mu for mu in hypotenuse if any(x % 2 for x in mu)]
+            if odd:
+                raise ValueError(f"hypotenuse label {odd[0]} is not doubled")
+            hypotenuse = [tuple(x // 2 for x in mu) for mu in hypotenuse]
+        t = TableauSeq(family, _infer_rank(family, hypotenuse), tuple(hypotenuse))
     except ValueError as exc:
         raise InvalidOutput(str(exc)) from exc
     if t.weight != ():

@@ -15,8 +15,9 @@ minus signs of the left factor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .crystals import (
     BVEC,
@@ -102,8 +103,10 @@ def q_int(m: int) -> Poly:
     return (1,) * m
 
 
-def monomial(e: int, c: int = 1) -> Poly:
-    return poly_trim((0,) * e + (c,))
+def poly_count(exponents: Iterable[int]) -> Poly:
+    """Sum of q^e over the exponents, with multiplicity."""
+    counts = Counter(exponents)
+    return tuple(counts[e] for e in range(max(counts, default=-1) + 1))
 
 
 def poly_str(p: Sequence[int]) -> str:
@@ -194,16 +197,14 @@ def energy_shift(kind: str, r: int, n: int) -> int:
 
 def f_poly(family: str, r: int, n: int) -> Poly:
     """Energy generating polynomial over weight-zero highest words."""
-    kind = FAMILY_KIND[family]
-    elements = enumerate_zero(family, r, n)
-    if not elements:
-        return ()
+    return energy_poly(family, r, n, enumerate_zero(family, r, n))
+
+
+def energy_poly(family: str, r: int, n: int, elements: Sequence[TableauSeq]) -> Poly:
+    """:func:`f_poly` summed over a given listing of the weight-zero members."""
     # weight zero forces n even whenever the shift is n/2 (cvec and spin)
-    shift = energy_shift(kind, r, n)
-    out: Poly = ()
-    for t in elements:
-        out = poly_add(out, monomial(shift + energy(tableau_to_word(t))))
-    return out
+    shift = energy_shift(FAMILY_KIND[family], r, n)
+    return poly_count(shift + energy(tableau_to_word(t)) for t in elements)
 
 
 def g_poly(n: int, r: int) -> Poly:
@@ -250,11 +251,12 @@ def descent_major(w: Word) -> tuple[tuple[int, ...], int]:
 
 def h_poly(n: int, r: int) -> Poly:
     """Major-index generating polynomial over weight-zero highest bvec words."""
-    out: Poly = ()
-    for t in enumerate_zero("vacillating", r, n):
-        _, maj = descent_major(tableau_to_word(t))
-        out = poly_add(out, monomial(maj))
-    return out
+    return major_poly(enumerate_zero("vacillating", r, n))
+
+
+def major_poly(elements: Sequence[TableauSeq]) -> Poly:
+    """:func:`h_poly` summed over a given listing of vacillating tableaux."""
+    return poly_count(descent_major(tableau_to_word(t))[1] for t in elements)
 
 
 def _partitions_of(n: int, parts_filter: Callable[[int], bool], max_len: int):
@@ -302,12 +304,11 @@ def syt_h_poly(n: int, r: int) -> Poly:
             for s in _partitions_of(n, lambda p: p % 2 == 1, 2 * r + 1)
             if len(s) == 2 * r + 1
         ]
-    out: Poly = ()
-    for shape in shapes:
-        for word in _standard_tableaux(shape):
-            maj = sum(i for i in range(1, n) if word[i] > word[i - 1])
-            out = poly_add(out, monomial(maj))
-    return out
+    return poly_count(
+        sum(i for i in range(1, n) if word[i] > word[i - 1])
+        for shape in shapes
+        for word in _standard_tableaux(shape)
+    )
 
 
 # ------------------------------------------------------------------- sieving
@@ -376,11 +377,7 @@ def orbit_polynomial(sizes: Sequence[int], order: int) -> Poly:
     Evaluating at a primitive order-th root of unity to the power d gives the
     number of fixed points of the d-th power of the action.
     """
-    out: Poly = ()
-    for s in sizes:
-        for j in range(s):
-            out = poly_add(out, monomial(j * order // s))
-    return out
+    return poly_count(j * order // s for s in sizes for j in range(s))
 
 
 def csp_check(

@@ -13,10 +13,8 @@ from .crystals import (
     OSCILLATING,
     VACILLATING,
     TableauSeq,
-    Word,
     cvec_order,
     letter_weight,
-    tensor_apply,
 )
 from .weights import pad, trim, unit_vector, vec_add, vec_sub
 
@@ -42,33 +40,6 @@ def psi_vec(b: int, r: int) -> tuple:
     if b == 0:
         return (-r, r)
     return (b, b)
-
-
-def virtual_apply(w: Word, i: int, direction: str) -> Word | None:
-    """The virtual operator on C-words: the square of e_i/f_i below index r."""
-    if w.kind != CVEC:
-        raise ValueError("virtual operators act on cvec words")
-    power = 1 if i == w.rank else 2
-    for _ in range(power):
-        w = tensor_apply(w, i, direction)
-        if w is None:
-            return None
-    return w
-
-
-def spin_word_image(w: Word) -> Word:
-    """Concatenate psi_spin letter images into one C-word (rightmost factor first)."""
-    out: list = []
-    for x in w.letters:
-        out.extend(psi_spin(x, w.rank))
-    return Word(CVEC, w.rank, tuple(out))
-
-
-def bvec_word_image(w: Word) -> Word:
-    out: list = []
-    for x in w.letters:
-        out.extend(psi_vec(x, w.rank))
-    return Word(CVEC, w.rank, tuple(out))
 
 
 def iota_f_to_o(f: TableauSeq) -> TableauSeq:

@@ -10,7 +10,6 @@ by convention: a weight vector becomes a partition only through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -86,38 +85,6 @@ def intersect_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
     return trim(tuple(min(a, b) for a, b in zip(pad(p, n), pad(q, n))))
 
 
-StepKind = tuple[str, int | None]
-
-
-def step_classify(p: Sequence[int], q: Sequence[int]) -> StepKind:
-    """Finest relation of q relative to p.
-
-    Returns one of ``("equal", None)``, ``("add_box", row)``,
-    ``("remove_box", row)``, ``("vertical_strip", None)``,
-    ``("horizontal_strip", None)`` or ``("other", None)``.  Rows are 1-based.
-    Strip kinds apply only in the growing direction p <= q; a skew shape that
-    is both kinds of strip reports as vertical.
-    """
-    p, q = partition(p), partition(q)
-    if p == q:
-        return ("equal", None)
-    n = max(len(p), len(q))
-    pp, qq = pad(p, n), pad(q, n)
-    diff = [b - a for a, b in zip(pp, qq)]
-    changed = [i for i, d in enumerate(diff) if d != 0]
-    if len(changed) == 1 and diff[changed[0]] == 1:
-        return ("add_box", changed[0] + 1)
-    if len(changed) == 1 and diff[changed[0]] == -1:
-        return ("remove_box", changed[0] + 1)
-    if all(d >= 0 for d in diff):
-        if all(d <= 1 for d in diff):
-            return ("vertical_strip", None)
-        # horizontal strip: at most one new cell per column, i.e. q interleaves p
-        if all(qq[i + 1] <= pp[i] for i in range(n - 1)):
-            return ("horizontal_strip", None)
-    return ("other", None)
-
-
 def is_vertical_strip(p: Sequence[int], q: Sequence[int]) -> bool:
     """True if p <= q and q/p has at most one cell in each row."""
     n = max(len(p), len(q))
@@ -132,27 +99,3 @@ def is_horizontal_strip(p: Sequence[int], q: Sequence[int]) -> bool:
     if any(b < a for a, b in zip(pp, qq)):
         return False
     return all(qq[i + 1] <= pp[i] for i in range(n - 1))
-
-
-@dataclass(frozen=True)
-class RootSystemData:
-    """Simple roots of type B_r or C_r in the standard coordinates."""
-
-    type_tag: str  # "B" or "C"
-    rank: int
-    simple_roots: tuple[WeightVec, ...]
-
-
-def root_system(type_tag: str, rank: int) -> RootSystemData:
-    if type_tag not in ("B", "C"):
-        raise ValueError(f"unknown type {type_tag!r}")
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    roots = []
-    for i in range(1, rank):
-        roots.append(vec_sub(unit_vector(i, rank), unit_vector(i + 1, rank)))
-    last = unit_vector(rank, rank)
-    if type_tag == "C":
-        last = tuple(2 * x for x in last)
-    roots.append(last)
-    return RootSystemData(type_tag, rank, tuple(roots))

@@ -6,13 +6,38 @@ nothing in the library needs it once the fast path exists.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Iterator, Sequence
 
-from crystalchords.crystals import FAMILIES, FAN, OSCILLATING, RAISE, SPIN, Word, tensor_apply
+from crystalchords.crystals import (
+    CVEC,
+    FAMILIES,
+    FAN,
+    LOWER,
+    OSCILLATING,
+    RAISE,
+    SPIN,
+    Word,
+    apply_letter_op,
+    letters,
+    prefix_weights,
+    tensor_apply,
+)
 from crystalchords.growth import blocksum
 from crystalchords.promotion import PromotionGrid, local_rule
-from crystalchords.virtual import iota_v_to_f, iota_v_to_o
-from crystalchords.weights import is_partition, pad, step_classify, trim, vec_add, vec_sub
+from crystalchords.virtual import iota_v_to_f, iota_v_to_o, psi_spin, psi_vec
+from crystalchords.weights import (
+    WeightVec,
+    is_partition,
+    pad,
+    partition,
+    trim,
+    unit_vector,
+    vec_add,
+    vec_sub,
+)
 
 
 def fill_value(rule: str, lam, kap, nu) -> int:
@@ -140,3 +165,122 @@ def spin_pair_energy_by_raising(r: int, a, b) -> int:
     assert right == (1,) * r, "classical highest weight pair must end in all +"
     minus = sum(1 for s in left if s == -1)
     return (minus + 1) // 2
+
+
+# ------------------------------------------------------------ weights
+
+
+def step_classify(p: Sequence[int], q: Sequence[int]) -> tuple[str, int | None]:
+    """Finest relation of q relative to p.
+
+    Returns one of ``("equal", None)``, ``("add_box", row)``,
+    ``("remove_box", row)``, ``("vertical_strip", None)``,
+    ``("horizontal_strip", None)`` or ``("other", None)``.  Rows are 1-based.
+    Strip kinds apply only in the growing direction p <= q; a skew shape that
+    is both kinds of strip reports as vertical.
+    """
+    p, q = partition(p), partition(q)
+    if p == q:
+        return ("equal", None)
+    n = max(len(p), len(q))
+    pp, qq = pad(p, n), pad(q, n)
+    diff = [b - a for a, b in zip(pp, qq)]
+    changed = [i for i, d in enumerate(diff) if d != 0]
+    if len(changed) == 1 and diff[changed[0]] == 1:
+        return ("add_box", changed[0] + 1)
+    if len(changed) == 1 and diff[changed[0]] == -1:
+        return ("remove_box", changed[0] + 1)
+    if all(d >= 0 for d in diff):
+        if all(d <= 1 for d in diff):
+            return ("vertical_strip", None)
+        # horizontal strip: at most one new cell per column, i.e. q interleaves p
+        if all(qq[i + 1] <= pp[i] for i in range(n - 1)):
+            return ("horizontal_strip", None)
+    return ("other", None)
+
+
+@dataclass(frozen=True)
+class RootSystemData:
+    """Simple roots of type B_r or C_r in the standard coordinates."""
+
+    type_tag: str  # "B" or "C"
+    rank: int
+    simple_roots: tuple[WeightVec, ...]
+
+
+def root_system(type_tag: str, rank: int) -> RootSystemData:
+    if type_tag not in ("B", "C"):
+        raise ValueError(f"unknown type {type_tag!r}")
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    roots = []
+    for i in range(1, rank):
+        roots.append(vec_sub(unit_vector(i, rank), unit_vector(i + 1, rank)))
+    last = unit_vector(rank, rank)
+    if type_tag == "C":
+        last = tuple(2 * x for x in last)
+    roots.append(last)
+    return RootSystemData(type_tag, rank, tuple(roots))
+
+
+# ------------------------------------------------------------ crystals
+
+
+def iter_words(kind: str, r: int, n: int) -> Iterator[Word]:
+    """All words of the crystal of the given length (for brute-force checks)."""
+    for combo in itertools.product(letters(kind, r), repeat=n):
+        yield Word(kind, r, combo)
+
+
+def string_stats(kind: str, r: int, i: int, w) -> tuple[int, int]:
+    """(eps_i, phi_i) of a letter or a word, by repeated application."""
+    stats = []
+    for direction in (RAISE, LOWER):
+        k, x = -1, w
+        while x is not None:
+            k += 1
+            if isinstance(w, Word):
+                x = tensor_apply(x, i, direction)
+            else:
+                x = apply_letter_op(kind, r, i, direction, x)
+        stats.append(k)
+    return tuple(stats)
+
+
+def all_prefixes_dominant(w: Word) -> bool:
+    """Prefix-dominance test; equivalent to is_highest for the minuscule kinds."""
+    return all(
+        all(a >= b for a, b in zip(mu, mu[1:])) and mu[-1] >= 0
+        for mu in prefix_weights(w)[1:]
+    )
+
+
+# ------------------------------------------------------------ virtualization
+
+
+def virtual_apply(w: Word, i: int, direction: str) -> Word | None:
+    """The virtual operator on C-words: the square of e_i/f_i below index r."""
+    if w.kind != CVEC:
+        raise ValueError("virtual operators act on cvec words")
+    power = 1 if i == w.rank else 2
+    for _ in range(power):
+        w = tensor_apply(w, i, direction)
+        if w is None:
+            return None
+    return w
+
+
+def spin_word_image(w: Word) -> Word:
+    """Concatenate psi_spin letter images into one C-word (rightmost factor first)."""
+    out: list = []
+    for x in w.letters:
+        out.extend(psi_spin(x, w.rank))
+    return Word(CVEC, w.rank, tuple(out))
+
+
+def bvec_word_image(w: Word) -> Word:
+    """Concatenate psi_vec letter images into one C-word (rightmost factor first)."""
+    out: list = []
+    for x in w.letters:
+        out.extend(psi_vec(x, w.rank))
+    return Word(CVEC, w.rank, tuple(out))

@@ -112,6 +112,23 @@ def test_csp_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, n, poly", [("fan", 4, "f"), ("vac", 7, "h")])
+def test_csp_enumerates_its_set_once(capsys, monkeypatch, family, n, poly):
+    from crystalchords import cli, crystals, sieving
+
+    calls = []
+
+    def enumerate_zero(*args):
+        calls.append(args)
+        return crystals.enumerate_zero(*args)
+
+    monkeypatch.setattr(cli, "enumerate_zero", enumerate_zero)
+    monkeypatch.setattr(sieving, "enumerate_zero", enumerate_zero)
+    code, out, _ = run(capsys, "csp", "--family", family, "--r", "2", "--n", str(n), "--poly", poly)
+    assert code == 0 and json.loads(out)["holds"] is True
+    assert len(calls) == 1
+
+
 def test_golden_all(capsys):
     code, out, _ = run(capsys, "golden")
     assert code == 0

@@ -16,15 +16,12 @@ from crystalchords.crystals import (
     SPIN,
     VACILLATING,
     Word,
-    all_prefixes_dominant,
     apply_letter_op,
     cvec_order,
     enumerate_zero,
     is_highest,
-    iter_words,
     letter_weight,
     letters,
-    string_stats,
     tableau,
     tableau_to_word,
     tensor_apply,
@@ -32,9 +29,10 @@ from crystalchords.crystals import (
     word_to_tableau,
     word_weight,
 )
-from crystalchords.weights import root_system, vec_sub
+from crystalchords.weights import vec_sub
 
 import oracles
+from oracles import all_prefixes_dominant, iter_words, root_system, string_stats
 
 FAN3_WORD = Word(SPIN, 3, ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1)))
 FAN3_STEPS = ((), (1, 1, 1), (2, 2), (1, 1, 1), ())

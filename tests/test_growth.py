@@ -113,6 +113,66 @@ def test_growth_inverse_invalid_output():
         growth_inverse("burge", [[0]], OSCILLATING)
 
 
+@pytest.mark.parametrize(
+    "triangle, family, message",
+    [
+        ([[0], [0]], OSCILLATING, "triangle row 2 must hold 2 non-negative integers"),
+        ([[0, 0]], OSCILLATING, "triangle row 1 must hold 1 non-negative integers"),
+        ([[0], [0, -1]], OSCILLATING, "triangle row 2 must hold 2 non-negative integers"),
+        ([[0], [0.5, 0]], OSCILLATING, "triangle row 2 must hold 2 non-negative integers"),
+        ([[0]], "bogus", "rule 'zero_one' does not build bogus tableaux"),
+    ],
+    ids=["short-row", "long-row", "negative-entry", "non-int-entry", "unknown-family"],
+)
+def test_growth_inverse_checks_its_input_at_entry(triangle, family, message):
+    with pytest.raises(ValueError) as info:
+        growth_inverse("zero_one", triangle, family)
+    assert str(info.value) == message
+
+
+def test_cell_functions_validate_their_corners():
+    # the public cell functions canonicalise and check what the sweeps trust
+    assert cell_forward("zero_one", [1, 0], (1,), (1, 0, 0), 1) == (2,)
+    assert cell_backward("rsk", (2, 0), [], ()) == ((), 2)
+    cases = [
+        (cell_forward, ("bogus", (), (), (), 0), "unknown rule set 'bogus'"),
+        (cell_backward, ("bogus", (), (), ()), "unknown rule set 'bogus'"),
+        (cell_forward, ("zero_one", (), (), (), -1), "filling must be non-negative"),
+        (cell_forward, ("zero_one", (1, 2), (), (), 0), "not weakly decreasing: (1, 2)"),
+        (cell_backward, ("burge", (0, -1), (), ()), "negative part: (0, -1)"),
+        (cell_forward, ("burge", (), (2,), (), 0), "burge cell needs vertical strips over gamma"),
+        (cell_backward, ("burge", (2,), (), ()), "burge cell needs vertical strips under beta"),
+        (cell_forward, ("rsk", (), (1, 1), (), 0), "rsk cell needs horizontal strips over gamma"),
+        (cell_backward, ("rsk", (1, 1), (), ()), "rsk cell needs horizontal strips under beta"),
+        (
+            cell_forward,
+            ("zero_one", (), (2,), (), 0),
+            "zero_one cell: () -> (2,) must be equal or add one box",
+        ),
+        (cell_forward, ("zero_one", (), (), (), 2), "zero_one filling must be 0 or 1"),
+    ]
+    for cell, args, message in cases:
+        with pytest.raises(ValueError) as info:
+            cell(*args)
+        assert str(info.value) == message
+
+
+def test_growth_sweeps_call_the_local_rules_directly(monkeypatch):
+    """Neither sweep goes back through the public cell functions or partition()."""
+    from crystalchords import growth
+
+    def forbidden(*args):
+        raise AssertionError("a sweep re-validated its corners")
+
+    for name in ("cell_forward", "cell_backward", "partition"):
+        monkeypatch.setattr(growth, name, forbidden)
+    for family, r, n in ((OSCILLATING, 2, 6), (FAN, 2, 6), (VACILLATING, 2, 5)):
+        rule = growth._FAMILY_RULE[family]
+        for t in enumerate_zero(family, r, n):
+            tri = lower_triangle_rows(growth_matrix(family, t))
+            assert growth_inverse(rule, tri, family).steps == t.steps
+
+
 def test_matrix_triangle_round_trip():
     assert matrix_from_triangle(lower_triangle_rows(FAN8_MATRIX)) == FAN8_MATRIX
     with pytest.raises(ValueError):
@@ -334,11 +394,12 @@ def test_rule_inversion_backward_first():
 
 
 def test_check_adjacent_matches_step_classify():
-    """'Equal or adds one box' agrees with the step classification on all small pairs."""
+    """'Equal or adds one box', and the row of that box, agree with the step
+    classification on all small pairs."""
     import itertools
 
     from crystalchords.growth import _check_adjacent
-    from crystalchords.weights import step_classify
+    from oracles import step_classify
 
     shapes = [
         tuple(sorted(c, reverse=True))
@@ -346,10 +407,11 @@ def test_check_adjacent_matches_step_classify():
         for c in itertools.combinations_with_replacement((1, 2, 3), k)
     ]
     for p, q in itertools.product(shapes, repeat=2):
+        kind, row = step_classify(p, q)
         try:
-            _check_adjacent(p, q, "cell")
-            ok = True
+            got = _check_adjacent(p, q, "cell")
         except ValueError as exc:
             assert str(exc) == f"cell: {p} -> {q} must be equal or add one box"
-            ok = False
-        assert ok == (step_classify(p, q)[0] in ("equal", "add_box")), (p, q)
+            got = None
+        expected = {"equal": 0, "add_box": row}.get(kind)
+        assert got == expected, (p, q)

@@ -18,7 +18,6 @@ from crystalchords.crystals import (
 )
 from crystalchords.virtual import (
     NotInImage,
-    bvec_word_image,
     iota_f_to_o,
     iota_f_to_o_inverse,
     iota_inverse,
@@ -26,9 +25,9 @@ from crystalchords.virtual import (
     iota_v_to_o,
     psi_spin,
     psi_vec,
-    spin_word_image,
-    virtual_apply,
 )
+
+from oracles import bvec_word_image, spin_word_image, virtual_apply
 
 VAC9 = tableau(
     VACILLATING,

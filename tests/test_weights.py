@@ -9,11 +9,11 @@ from crystalchords.weights import (
     is_vertical_strip,
     pad,
     partition,
-    root_system,
-    step_classify,
     trim,
     union_parts,
 )
+
+from oracles import root_system, step_classify
 
 weight_vecs = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple)
 partitions = st.lists(st.integers(0, 5), min_size=0, max_size=5).map(
