@@ -10,9 +10,12 @@ with a non-negative filling m.  Forward rules compute beta from
 (beta, delta, alpha).  Three rule sets are supported: "zero_one" for 0/1
 fillings where adjacent labels differ by at most a box, "burge" for
 vertical-strip labellings and "rsk" for horizontal-strip labellings.
-Only the public cell_forward/cell_backward canonicalise corners and look up
-a rule by name; a sweep looks its rule up once and trusts the canonical
-corners it builds.  Every local rule still checks its corners and filling.
+Only the public cell_forward/cell_backward canonicalise corners, check the
+filling and look up a rule by name; a sweep looks its rule up once and
+trusts the canonical corners it builds.  Every local rule still checks its
+corners and filling.  The Burge and RSK rules pad their corners once and
+test the strip condition row by row in the same pass that runs the carry;
+the 0/1 rules work on the canonical tuples without padding or trimming.
 
 Triangular diagrams use corners alpha[i][j] for 0 <= j <= i <= n laid out
 with the hypotenuse alpha[k][k] on the main diagonal (row index growing
@@ -24,19 +27,8 @@ labelling above this reads alpha=NW, beta=NE, gamma=SW, delta=SE.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq
-from .weights import (
-    Partition,
-    intersect_parts,
-    is_horizontal_strip,
-    is_partition,
-    is_vertical_strip,
-    pad,
-    partition,
-    trim,
-)
+from .weights import Partition, partition
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -47,31 +39,35 @@ class InvalidOutput(Exception):
 
 def _union_max(p: Partition, q: Partition) -> Partition:
     # set union of Young diagrams (row-wise max); distinct from the row-wise
-    # sum union used for doubling
-    n = max(len(p), len(q))
-    return trim(tuple(max(a, b) for a, b in zip(pad(p, n), pad(q, n))))
+    # sum union used for doubling.  One of the two tails is empty.
+    return tuple(map(max, p, q)) + p[len(q):] + q[len(p):]
+
+
+def _meet(p: Partition, q: Partition) -> Partition:
+    # row-wise min; parts of canonical partitions are positive, so the
+    # shorter length is where the meet ends
+    return tuple(map(min, p, q))
 
 
 def _add_box(p: Partition, row: int) -> Partition:
-    q = list(pad(p, max(len(p), row)))
-    q[row - 1] += 1
-    if not is_partition(q):
+    if row == len(p) + 1:
+        return p + (1,)
+    if row > len(p) or row > 1 and p[row - 2] == p[row - 1]:
         raise ValueError(f"cannot add a box to row {row} of {p}")
-    return trim(tuple(q))
+    return p[: row - 1] + (p[row - 1] + 1,) + p[row:]
 
 
 def _remove_box(p: Partition, row: int) -> Partition:
-    q = list(p)
-    if row > len(q) or q[row - 1] == 0:
+    if row > len(p) or row < len(p) and p[row] == p[row - 1]:
         raise ValueError(f"cannot remove a box from row {row} of {p}")
-    q[row - 1] -= 1
-    if not is_partition(q):
-        raise ValueError(f"cannot remove a box from row {row} of {p}")
-    return trim(tuple(q))
+    x = p[row - 1] - 1
+    return p[: row - 1] + ((x,) if x else ()) + p[row:]
 
 
 def cell_forward(rule: str, gamma, delta, alpha, m: int) -> Partition:
     """Complete the NE corner of a cell from the other three and the filling."""
+    if type(m) is not int:  # bool is not a filling either
+        raise ValueError(f"filling must be an int, not {type(m).__name__}")
     if m < 0:
         raise ValueError("filling must be non-negative")
     gamma, delta, alpha = partition(gamma), partition(delta), partition(alpha)
@@ -133,70 +129,135 @@ def _backward_zero_one(beta, delta, alpha) -> tuple[Partition, int]:
     if beta == alpha:
         return delta, 0  # B3
     if delta != alpha:
-        return intersect_parts(delta, alpha), 0  # B4
+        return _meet(delta, alpha), 0  # B4
     if row >= 2:
         return _remove_box(delta, row - 1), 0  # B5
     return delta, 1  # B6
 
 
-def _forward_carry(gamma, delta, alpha, m, burge: bool) -> Partition:
-    if burge:
-        if not (is_vertical_strip(gamma, delta) and is_vertical_strip(gamma, alpha)):
-            raise ValueError("burge cell needs vertical strips over gamma")
-    elif not (is_horizontal_strip(gamma, delta) and is_horizontal_strip(gamma, alpha)):
-        raise ValueError("rsk cell needs horizontal strips over gamma")
+def _forward_burge(gamma, delta, alpha, m) -> Partition:
     # the carry empties within two extra rows per accumulated box
     n = 2 * max(len(gamma), len(delta), len(alpha)) + m + 3
-    g, d, a = pad(gamma, n), pad(delta, n), pad(alpha, n)
     beta = []
     carry = m
-    for i in range(n):
-        allow = min(1, carry) if burge else carry
-        if burge and not g[i] == d[i] == a[i]:
-            allow = 0
-        b = max(d[i], a[i]) + allow
-        if b == 0:
-            break
-        beta.append(b)
-        if burge:
-            carry = carry - allow + min(d[i], a[i]) - g[i]
+    for x, y, z in zip(
+        gamma + (0,) * (n - len(gamma)),
+        delta + (0,) * (n - len(delta)),
+        alpha + (0,) * (n - len(alpha)),
+    ):
+        # vertical strips gamma -> delta and gamma -> alpha, one row at a time
+        if not (x <= y <= x + 1 and x <= z <= x + 1):
+            raise ValueError("burge cell needs vertical strips over gamma")
+        if x != y or x != z:
+            carry += min(y, z) - x
+            beta.append(max(y, z))
+        elif carry:
+            carry -= 1
+            beta.append(x + 1)
+        elif x:
+            beta.append(x)
         else:
-            carry = min(d[i], a[i]) - g[i]
+            break
     else:
         raise AssertionError("carry algorithm failed to terminate")
     return tuple(beta)
 
 
-def _backward_carry(beta, delta, alpha, burge: bool) -> tuple[Partition, int]:
-    if burge:
-        if not (is_vertical_strip(delta, beta) and is_vertical_strip(alpha, beta)):
-            raise ValueError("burge cell needs vertical strips under beta")
-    elif not (is_horizontal_strip(delta, beta) and is_horizontal_strip(alpha, beta)):
-        raise ValueError("rsk cell needs horizontal strips under beta")
+def _forward_rsk(gamma, delta, alpha, m) -> Partition:
+    # the carry empties within two extra rows per accumulated box
+    n = 2 * max(len(gamma), len(delta), len(alpha)) + m + 3
+    beta = []
+    carry = m
+    above = float("inf")  # gamma's row above; nothing bounds the first row
+    for x, y, z in zip(
+        gamma + (0,) * (n - len(gamma)),
+        delta + (0,) * (n - len(delta)),
+        alpha + (0,) * (n - len(alpha)),
+    ):
+        # horizontal strips: delta and alpha interleave gamma
+        if not (x <= y <= above and x <= z <= above):
+            raise ValueError("rsk cell needs horizontal strips over gamma")
+        b = max(y, z) + carry
+        if not b:
+            break
+        beta.append(b)
+        carry = min(y, z) - x
+        above = x
+    else:
+        raise AssertionError("carry algorithm failed to terminate")
+    return tuple(beta)
+
+
+def _backward_burge(beta, delta, alpha) -> tuple[Partition, int]:
     n = len(beta)
-    b, d, a = pad(beta, n), pad(delta, n), pad(alpha, n)
-    gamma = [0] * n
+    if len(delta) > n or len(alpha) > n:
+        raise ValueError("burge cell needs vertical strips under beta")
+    gamma = []
     carry = 0
-    for i in range(n - 1, -1, -1):
+    below = 0  # gamma's row below; the last row must be non-negative
+    bad = False
+    # bottom-up; a bad gamma is reported only once every strip row has passed
+    for w, y, z in zip(
+        reversed(beta),
+        reversed(delta + (0,) * (n - len(delta))),
+        reversed(alpha + (0,) * (n - len(alpha))),
+    ):
+        if not (y <= w <= y + 1 and z <= w <= z + 1):
+            raise ValueError("burge cell needs vertical strips under beta")
         # the burge indicator reads the known corners beta, delta, alpha
-        allow = min(1, carry) if burge else carry
-        if burge and not b[i] == d[i] == a[i]:
-            allow = 0
-        gamma[i] = min(d[i], a[i]) - allow
-        if burge:
-            carry = carry - allow + b[i] - max(d[i], a[i])
+        if w != y or w != z:
+            x = min(y, z)
+            carry += w - max(y, z)
+        elif carry:
+            carry -= 1
+            x = w - 1
         else:
-            carry = b[i] - max(d[i], a[i])
-    if any(x < 0 for x in gamma) or not is_partition(gamma):
+            x = w
+        if x < below:
+            bad = True
+        below = x
+        if x:
+            gamma.append(x)
+    if bad:
         raise ValueError(f"no valid SW corner for {beta}, {delta}, {alpha}")
-    return trim(tuple(gamma)), carry
+    return tuple(reversed(gamma)), carry
+
+
+def _backward_rsk(beta, delta, alpha) -> tuple[Partition, int]:
+    n = len(beta)
+    if len(delta) > n or len(alpha) > n:
+        raise ValueError("rsk cell needs horizontal strips under beta")
+    gamma = []
+    carry = 0
+    below = 0  # gamma's row below; the last row must be non-negative
+    under = 0  # beta's row below, which delta and alpha must bound
+    bad = False
+    # bottom-up; a bad gamma is reported only once every strip row has passed
+    for w, y, z in zip(
+        reversed(beta),
+        reversed(delta + (0,) * (n - len(delta))),
+        reversed(alpha + (0,) * (n - len(alpha))),
+    ):
+        if not (under <= y <= w and under <= z <= w):
+            raise ValueError("rsk cell needs horizontal strips under beta")
+        x = min(y, z) - carry
+        carry = w - max(y, z)
+        if x < below:
+            bad = True
+        below = x
+        under = w
+        if x:
+            gamma.append(x)
+    if bad:
+        raise ValueError(f"no valid SW corner for {beta}, {delta}, {alpha}")
+    return tuple(reversed(gamma)), carry
 
 
 # rule name -> (forward, backward) local rule on canonical corners
 _RULES = {
     "zero_one": (_forward_zero_one, _backward_zero_one),
-    "burge": (partial(_forward_carry, burge=True), partial(_backward_carry, burge=True)),
-    "rsk": (partial(_forward_carry, burge=False), partial(_backward_carry, burge=False)),
+    "burge": (_forward_burge, _backward_burge),
+    "rsk": (_forward_rsk, _backward_rsk),
 }
 
 _FAMILY_RULE = {OSCILLATING: "zero_one", FAN: "burge", VACILLATING: "rsk"}
@@ -215,9 +276,9 @@ def _seed_corners(t: TableauSeq) -> dict[tuple[int, int], Partition]:
             if p == q:
                 sub = _remove_box(tuple(2 * x for x in p), len(p))
             else:
-                sub = tuple(2 * x for x in intersect_parts(p, q))
+                sub = tuple(2 * x for x in _meet(p, q))
         else:
-            sub = intersect_parts(p, q)
+            sub = _meet(p, q)
         corners[(k + 1, k)] = sub
     return corners
 
@@ -287,7 +348,7 @@ def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> Tableau
     if _FAMILY_RULE.get(family) != rule:
         raise ValueError(f"rule {rule!r} does not build {family} tableaux")
     for i, row in enumerate(triangle, start=1):
-        if len(row) != i or not all(isinstance(x, int) and x >= 0 for x in row):
+        if len(row) != i or not all(type(x) is int and x >= 0 for x in row):
             raise ValueError(f"triangle row {i} must hold {i} non-negative integers")
     forward = _RULES[rule][0]
     # an empty triangle encodes the empty tableau (length 1 has no weight-zero members)

@@ -83,19 +83,3 @@ def intersect_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
     """Row-wise minimum of two partitions."""
     n = max(len(p), len(q))
     return trim(tuple(min(a, b) for a, b in zip(pad(p, n), pad(q, n))))
-
-
-def is_vertical_strip(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True if p <= q and q/p has at most one cell in each row."""
-    n = max(len(p), len(q))
-    pp, qq = pad(p, n), pad(q, n)
-    return all(0 <= b - a <= 1 for a, b in zip(pp, qq))
-
-
-def is_horizontal_strip(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True if p <= q and q/p has at most one cell in each column."""
-    n = max(len(p), len(q)) + 1
-    pp, qq = pad(p, n), pad(q, n)
-    if any(b < a for a, b in zip(pp, qq)):
-        return False
-    return all(qq[i + 1] <= pp[i] for i in range(n - 1))

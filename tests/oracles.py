@@ -284,3 +284,78 @@ def bvec_word_image(w: Word) -> Word:
     for x in w.letters:
         out.extend(psi_vec(x, w.rank))
     return Word(CVEC, w.rank, tuple(out))
+
+
+def is_vertical_strip(p: Sequence[int], q: Sequence[int]) -> bool:
+    """True if p <= q and q/p has at most one cell in each row."""
+    n = max(len(p), len(q))
+    pp, qq = pad(p, n), pad(q, n)
+    return all(0 <= b - a <= 1 for a, b in zip(pp, qq))
+
+
+def is_horizontal_strip(p: Sequence[int], q: Sequence[int]) -> bool:
+    """True if p <= q and q/p has at most one cell in each column."""
+    n = max(len(p), len(q)) + 1
+    pp, qq = pad(p, n), pad(q, n)
+    if any(b < a for a, b in zip(pp, qq)):
+        return False
+    return all(qq[i + 1] <= pp[i] for i in range(n - 1))
+
+
+def forward_carry(gamma, delta, alpha, m, burge: bool):
+    """Burge (vertical strips) or RSK (horizontal strips) forward rule, row by row.
+
+    The strip predicates run first on whole corners; then the carry walks
+    the padded rows until the NE corner ends.
+    """
+    if burge:
+        if not (is_vertical_strip(gamma, delta) and is_vertical_strip(gamma, alpha)):
+            raise ValueError("burge cell needs vertical strips over gamma")
+    elif not (is_horizontal_strip(gamma, delta) and is_horizontal_strip(gamma, alpha)):
+        raise ValueError("rsk cell needs horizontal strips over gamma")
+    # the carry empties within two extra rows per accumulated box
+    n = 2 * max(len(gamma), len(delta), len(alpha)) + m + 3
+    g, d, a = pad(gamma, n), pad(delta, n), pad(alpha, n)
+    beta = []
+    carry = m
+    for i in range(n):
+        allow = min(1, carry) if burge else carry
+        if burge and not g[i] == d[i] == a[i]:
+            allow = 0
+        b = max(d[i], a[i]) + allow
+        if b == 0:
+            break
+        beta.append(b)
+        if burge:
+            carry = carry - allow + min(d[i], a[i]) - g[i]
+        else:
+            carry = min(d[i], a[i]) - g[i]
+    else:
+        raise AssertionError("carry algorithm failed to terminate")
+    return tuple(beta)
+
+
+def backward_carry(beta, delta, alpha, burge: bool):
+    """Burge or RSK backward rule: strips first, then the carry bottom-up."""
+    if burge:
+        if not (is_vertical_strip(delta, beta) and is_vertical_strip(alpha, beta)):
+            raise ValueError("burge cell needs vertical strips under beta")
+    elif not (is_horizontal_strip(delta, beta) and is_horizontal_strip(alpha, beta)):
+        raise ValueError("rsk cell needs horizontal strips under beta")
+    n = len(beta)
+    b, d, a = pad(beta, n), pad(delta, n), pad(alpha, n)
+    gamma = [0] * n
+    carry = 0
+    for i in range(n - 1, -1, -1):
+        # the burge indicator reads the known corners beta, delta, alpha
+        allow = min(1, carry) if burge else carry
+        if burge and not b[i] == d[i] == a[i]:
+            allow = 0
+        gamma[i] = min(d[i], a[i]) - allow
+        if burge:
+            carry = carry - allow + b[i] - max(d[i], a[i])
+        else:
+            carry = b[i] - max(d[i], a[i])
+    if any(x < 0 for x in gamma) or not is_partition(gamma):
+        raise ValueError(f"no valid SW corner for {beta}, {delta}, {alpha}")
+    return trim(tuple(gamma)), carry

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -120,9 +121,10 @@ def test_growth_inverse_invalid_output():
         ([[0, 0]], OSCILLATING, "triangle row 1 must hold 1 non-negative integers"),
         ([[0], [0, -1]], OSCILLATING, "triangle row 2 must hold 2 non-negative integers"),
         ([[0], [0.5, 0]], OSCILLATING, "triangle row 2 must hold 2 non-negative integers"),
+        ([[True]], OSCILLATING, "triangle row 1 must hold 1 non-negative integers"),
         ([[0]], "bogus", "rule 'zero_one' does not build bogus tableaux"),
     ],
-    ids=["short-row", "long-row", "negative-entry", "non-int-entry", "unknown-family"],
+    ids=["short-row", "long-row", "negative-entry", "non-int-entry", "bool-entry", "unknown-family"],
 )
 def test_growth_inverse_checks_its_input_at_entry(triangle, family, message):
     with pytest.raises(ValueError) as info:
@@ -138,6 +140,9 @@ def test_cell_functions_validate_their_corners():
         (cell_forward, ("bogus", (), (), (), 0), "unknown rule set 'bogus'"),
         (cell_backward, ("bogus", (), (), ()), "unknown rule set 'bogus'"),
         (cell_forward, ("zero_one", (), (), (), -1), "filling must be non-negative"),
+        (cell_forward, ("burge", (), (), (), 1.5), "filling must be an int, not float"),
+        (cell_forward, ("rsk", (), (), (), 2.5), "filling must be an int, not float"),
+        (cell_forward, ("zero_one", (), (), (), True), "filling must be an int, not bool"),
         (cell_forward, ("zero_one", (1, 2), (), (), 0), "not weakly decreasing: (1, 2)"),
         (cell_backward, ("burge", (0, -1), (), ()), "negative part: (0, -1)"),
         (cell_forward, ("burge", (), (2,), (), 0), "burge cell needs vertical strips over gamma"),
@@ -415,3 +420,93 @@ def test_check_adjacent_matches_step_classify():
             got = None
         expected = {"equal": 0, "add_box": row}.get(kind)
         assert got == expected, (p, q)
+
+
+def _box_partitions(rows: int, cols: int):
+    """Every partition that fits in a rows x cols box."""
+    return [
+        tuple(x for x in c if x)
+        for c in itertools.combinations_with_replacement(range(cols, -1, -1), rows)
+    ]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_carry_rules_match_the_row_by_row_definition():
+    """Burge and RSK rules against whole-corner strip tests plus the padded carry:
+    same results, same exception type and message, on every cell of a 3x3 box."""
+    from oracles import backward_carry, forward_carry
+
+    box = _box_partitions(3, 3)
+    assert len(box) == 20
+    raised = 0
+    for rule, burge in (("burge", True), ("rsk", False)):
+        for p, q, s in itertools.product(box, repeat=3):
+            for m in range(4):
+                want = _outcome(forward_carry, p, q, s, m, burge)
+                assert _outcome(cell_forward, rule, p, q, s, m) == want, (rule, p, q, s, m)
+            want = _outcome(backward_carry, p, q, s, burge)
+            assert _outcome(cell_backward, rule, p, q, s) == want, (rule, p, q, s)
+            raised += isinstance(want[0], type)
+    assert raised
+
+
+def test_zero_one_union_and_meet_match_their_definition():
+    from crystalchords.growth import _meet, _union_max
+    from crystalchords.weights import intersect_parts
+
+    box = _box_partitions(3, 3)
+    for p in box:
+        for q in box:
+            assert _meet(p, q) == intersect_parts(p, q)
+            assert _union_max(p, q) == trim(tuple(map(max, pad(p, 3), pad(q, 3))))
+
+
+def test_box_moves_match_their_definition():
+    """Adding or removing one box on canonical tuples, against padding and trimming."""
+    from crystalchords.growth import _add_box, _remove_box
+
+    for p in _box_partitions(4, 3):
+        for row in range(1, 6):
+            q = list(pad(p, max(len(p), row)))
+            q[row - 1] += 1
+            want = trim(tuple(q)) if is_partition(q) else None
+            try:
+                got = _add_box(p, row)
+            except ValueError as exc:
+                assert str(exc) == f"cannot add a box to row {row} of {p}"
+                got = None
+            assert got == want, (p, row)
+            q = list(pad(p, max(len(p), row)))
+            q[row - 1] -= 1
+            want = trim(tuple(q)) if row <= len(p) and is_partition(q) else None
+            try:
+                got = _remove_box(p, row)
+            except ValueError as exc:
+                assert str(exc) == f"cannot remove a box from row {row} of {p}"
+                got = None
+            assert got == want, (p, row)
+
+
+def test_backward_carry_reports_strips_before_gamma():
+    """On partitions a corner that passes the strip tests always yields a valid
+    gamma, so the 'no valid SW corner' check cannot fire through cell_backward.
+    On positive parts that need not decrease it can (Burge), and the rules must
+    still raise the strip error first wherever the definition does."""
+    from crystalchords.growth import _RULES
+    from oracles import backward_carry
+
+    seqs = [t for k in range(4) for t in itertools.product((1, 2), repeat=k)]
+    gamma_errors = 0
+    for rule, burge in (("burge", True), ("rsk", False)):
+        backward = _RULES[rule][1]
+        for p, q, s in itertools.product(seqs, repeat=3):
+            want = _outcome(backward_carry, p, q, s, burge)
+            assert _outcome(backward, p, q, s) == want, (rule, p, q, s)
+            gamma_errors += isinstance(want[0], type) and want[1].startswith("no valid")
+    assert gamma_errors

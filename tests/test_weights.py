@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 from crystalchords.weights import (
     dominant_representative,
     intersect_parts,
-    is_horizontal_strip,
-    is_vertical_strip,
     pad,
     partition,
     trim,
     union_parts,
 )
 
-from oracles import root_system, step_classify
+from oracles import is_horizontal_strip, is_vertical_strip, root_system, step_classify
 
 weight_vecs = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple)
 partitions = st.lists(st.integers(0, 5), min_size=0, max_size=5).map(
