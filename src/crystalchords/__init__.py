@@ -25,7 +25,7 @@ from .growth import (
     growth_inverse,
     growth_matrix,
 )
-from .promotion import chord_matrix, local_rule, promote, promotion_grid, rotate_matrix
+from .promotion import chord_matrix, promote, promotion_grid, rotate_matrix
 from .sieving import csp_check, energy, f_poly, g_poly, h_poly, syt_h_poly
 from .virtual import (
     NotInImage,
@@ -36,7 +36,7 @@ from .virtual import (
     psi_spin,
     psi_vec,
 )
-from .weights import dominant_representative, intersect_parts, partition, union_parts
+from .weights import dominant_representative, partition
 
 __all__ = [
     "FAMILIES",
@@ -62,13 +62,11 @@ __all__ = [
     "growth_inverse",
     "growth_matrix",
     "h_poly",
-    "intersect_parts",
     "iota_f_to_o",
     "iota_inverse",
     "iota_v_to_f",
     "iota_v_to_o",
     "is_highest",
-    "local_rule",
     "partition",
     "promote",
     "promotion_grid",
@@ -78,6 +76,5 @@ __all__ = [
     "syt_h_poly",
     "tableau",
     "tableau_to_word",
-    "union_parts",
     "word_to_tableau",
 ]

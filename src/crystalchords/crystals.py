@@ -215,14 +215,6 @@ def tensor_apply(w: Word, i: int, direction: str) -> Word | None:
     return Word(w.kind, w.rank, new)
 
 
-def word_weight(w: Word) -> WeightVec:
-    """Sum of letter weights (spin letters contribute doubled weights)."""
-    total = (0,) * w.rank
-    for x in w.letters:
-        total = vec_add(total, letter_weight(w.kind, w.rank, x))
-    return total
-
-
 def is_highest(w: Word) -> bool:
     """True iff every raising operator annihilates the word."""
     return all(tensor_apply(w, i, RAISE) is None for i in range(1, w.rank + 1))
@@ -246,6 +238,17 @@ class TableauSeq:
 
     def __post_init__(self):
         validate_tableau(self)
+
+    @classmethod
+    def _trusted(cls, family: str, rank: int, steps: tuple[Partition, ...]) -> TableauSeq:
+        """A tableau built without validation, for callers that have just checked every step."""
+        t = object.__new__(cls)
+        # as the frozen dataclass's __init__ does; filling vars(t) instead would
+        # give every instance a dict of its own
+        object.__setattr__(t, "family", family)
+        object.__setattr__(t, "rank", rank)
+        object.__setattr__(t, "steps", steps)
+        return t
 
     def __len__(self) -> int:
         return len(self.steps) - 1
@@ -327,14 +330,20 @@ def tableau_to_word(t: TableauSeq) -> Word:
 
 def _children(family: str, r: int, p: Partition) -> list[Partition]:
     """Possible next steps after p, in lexicographic order."""
-    out: set[Partition] = set()
     if family == FAN:
-        pp = pad(p, r)
-        for bits in range(1 << r):
-            q = tuple(pp[j] + (1 if bits & (1 << j) else -1) for j in range(r))
-            if all(a >= b for a, b in zip(q, q[1:])) and q[-1] >= 0:
-                out.add(trim(q))
-        return sorted(out)
+        # each part moves by -1 or +1, chosen left to right (-1 first keeps the
+        # order lexicographic); a prefix dies once a part is negative or exceeds
+        # the part before it
+        heads = [()]
+        for x in pad(p, r):
+            heads = [
+                h + (y,)
+                for h in heads
+                for y in (x - 1, x + 1)
+                if y >= 0 and (not h or y <= h[-1])
+            ]
+        return [trim(q) for q in heads]
+    out: set[Partition] = set()
     # single-box moves, shared by oscillating and vacillating
     pp = pad(p, min(r, len(p) + 1))
     for k in range(len(pp)):
@@ -387,7 +396,8 @@ def enumerate_zero(
 def _extend(family: str, r: int, steps: list, remaining: int, results: list) -> None:
     # not a closure: a recursive closure is a cycle that outlives the call until gc runs
     if remaining == 0:
-        results.append(TableauSeq(family, r, tuple(steps)))
+        # every step came from _children, so the tableau needs no validation
+        results.append(TableauSeq._trusted(family, r, tuple(steps)))
         return
     for q in _children(family, r, steps[-1]):
         if _feasible(family, r, q, remaining - 1):

@@ -326,19 +326,6 @@ def lower_triangle_rows(m: Matrix) -> list[list[int]]:
     return [[m[i][j] for j in range(i)] for i in range(1, len(m))]
 
 
-def matrix_from_triangle(rows: list[list[int]]) -> Matrix:
-    """Symmetric matrix with zero diagonal from triangle rows."""
-    n = len(rows) + 1
-    fill = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows, start=1):
-        if len(row) != i:
-            raise ValueError(f"triangle row {i} must have {i} entries")
-        for j, x in enumerate(row):
-            fill[i][j] = x
-            fill[j][i] = x
-    return tuple(tuple(r) for r in fill)
-
-
 def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> TableauSeq:
     """Forward sweep of a triangular filling; the hypotenuse read as a tableau.
 

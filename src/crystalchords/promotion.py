@@ -15,29 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, sub
 
-from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq, check_step
+from .crystals import _UNIT_MOVES, FAN, OSCILLATING, VACILLATING, TableauSeq, check_step
 from .growth import blocksum
-from .virtual import iota_v_to_f, iota_v_to_o, iota_v_to_o_inverse
-from .weights import (
-    Partition,
-    WeightVec,
-    dominant_representative,
-    pad,
-    trim,
-    vec_add,
-    vec_sub,
-)
+from .virtual import NotInImage, _halve, _v_to_o_vectors, iota_v_to_f, iota_v_to_o
+from .weights import Partition, WeightVec, pad, trim
 
 Matrix = tuple[tuple[int, ...], ...]
 
 CHORD_MAPS = ("M_O", "M_F", "M_VO", "M_VF")
-
-
-def local_rule(lam: WeightVec, kap: WeightVec, nu: WeightVec) -> Partition:
-    """dom(kappa + nu - lambda) for equal-length weight vectors."""
-    if not len(lam) == len(kap) == len(nu):
-        raise ValueError("weight vectors must have equal length")
-    return dominant_representative(vec_add(kap, vec_sub(nu, lam)))
 
 
 def _sweep(prev: list[WeightVec], family: str) -> tuple[list[WeightVec], list[WeightVec]]:
@@ -46,40 +31,59 @@ def _sweep(prev: list[WeightVec], family: str) -> tuple[list[WeightVec], list[We
     Returns the padded steps of the promotion and, for each position
     k = 1..n-1, the vector kappa + nu - lambda whose dominant representative
     is step k.  Every new step, the last one into the empty partition
-    included, is checked against the family's step rule.
+    included, is checked against the family's step rule.  Between two
+    partitions that rule is a plain test on the moves: a fan step moves every
+    part by one, an oscillating step one part; a step failing it goes to
+    :func:`check_step` for its message.
     """
     zero = prev[0]
+    fan = family == FAN
     row = [zero]
     vecs = []
+    last = zero
     for k in range(1, len(prev) - 1):
-        v = tuple(map(add, row[-1], map(sub, prev[k + 1], prev[k])))
+        v = tuple(map(add, last, map(sub, prev[k + 1], prev[k])))
         mu = tuple(sorted(map(abs, v), reverse=True))
-        check_step(family, row[-1], mu)
+        moves = map(sub, mu, last)
+        if not (_UNIT_MOVES.issuperset(moves) if fan else sum(map(abs, moves)) == 1):
+            check_step(family, last, mu)
         row.append(mu)
         vecs.append(v)
-    check_step(family, row[-1], zero)
+        last = mu
+    check_step(family, last, zero)
     row.append(zero)
     return row, vecs
 
 
-def _promote_steps(family: str, r: int, steps: tuple[Partition, ...]) -> tuple[Partition, ...]:
-    """Promotion of a weight-zero oscillating or fan step sequence."""
-    if len(steps) == 1:
-        return steps
-    row, _ = _sweep([pad(p, r) for p in steps], family)
-    return tuple(trim(mu) for mu in row)
-
-
 def promote(t: TableauSeq) -> TableauSeq:
-    """Promotion of a weight-zero tableau of any of the three families."""
+    """Promotion of a weight-zero tableau of any of the three families.
+
+    A vacillating tableau is promoted as pr_O^2 of its oscillating embedding,
+    on padded vectors.  The even positions of the result are halved, and the
+    odd positions must be the embedding of the halves: that check, with the
+    step check of each half, is what shows that pr_O^2 keeps the image.
+    """
     if t.weight != ():
         raise ValueError("promotion requires weight zero")
-    if t.family == VACILLATING:
-        steps = iota_v_to_o(t).steps
-        for _ in range(2):
-            steps = _promote_steps(OSCILLATING, t.rank, steps)
-        return iota_v_to_o_inverse(TableauSeq(OSCILLATING, t.rank, steps))
-    return TableauSeq(t.family, t.rank, _promote_steps(t.family, t.rank, t.steps))
+    if len(t) == 0:
+        return t
+    r = t.rank
+    steps = [pad(p, r) for p in t.steps]
+    if t.family != VACILLATING:
+        steps, _ = _sweep(steps, t.family)
+    else:
+        row, _ = _sweep(_v_to_o_vectors(steps), OSCILLATING)
+        row, _ = _sweep(row, OSCILLATING)
+        steps = [_halve(mu) for mu in row[::2]]
+        for a, b in zip(steps, steps[1:]):
+            try:
+                check_step(VACILLATING, a, b)
+            except ValueError as exc:
+                raise NotInImage(str(exc)) from exc
+        if _v_to_o_vectors(steps) != row:
+            raise NotInImage("odd steps do not match the embedding")
+    # _sweep checked every step, or the halves were checked above
+    return TableauSeq._trusted(t.family, r, tuple(map(trim, steps)))
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,6 @@ def poly_trim(coeffs: Sequence[int]) -> Poly:
     return tuple(coeffs[:n])
 
 
-def poly_add(p: Sequence[int], q: Sequence[int]) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim(
-        tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-    )
-
-
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
     if not p or not q:
         return ()
@@ -328,7 +321,12 @@ def orbit_decomposition(
     order: int,
     action: Callable[[TableauSeq], TableauSeq] = promote,
 ) -> OrbitDecomposition:
-    """Orbits of the action; raises if an orbit size does not divide the order."""
+    """Orbits of the action; raises if an orbit size does not divide the order.
+
+    Also raises if the action leaves the set or, not being injective, walks
+    from some t into a cycle that misses t: such a walk would go on forever,
+    so it is cut once the orbit would outgrow the set.
+    """
     seen: set[TableauSeq] = set()
     orbits = []
     universe = set(elements)
@@ -340,6 +338,10 @@ def orbit_decomposition(
         while cur != t:
             if cur not in universe:
                 raise ValueError(f"action leaves the set on {t}")
+            if len(orbit) == len(universe):
+                raise ValueError(
+                    f"action does not return to {t} within {len(universe)} steps"
+                )
             orbit.append(cur)
             cur = action(cur)
         seen.update(orbit)

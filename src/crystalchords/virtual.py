@@ -7,6 +7,8 @@ vacillating->oscillating and vacillating->fan.
 
 from __future__ import annotations
 
+from operator import add
+
 from .crystals import (
     CVEC,
     FAN,
@@ -16,7 +18,7 @@ from .crystals import (
     cvec_order,
     letter_weight,
 )
-from .weights import pad, trim, unit_vector, vec_add, vec_sub
+from .weights import WeightVec, pad, trim, unit_vector, vec_add, vec_sub
 
 
 class NotInImage(Exception):
@@ -64,16 +66,22 @@ def iota_v_to_o(v: TableauSeq) -> TableauSeq:
     if v.weight != ():
         raise ValueError("embedding requires weight zero")
     r = v.rank
-    e_r = unit_vector(r, r)
-    steps = [()]
-    for p, q in zip(v.steps, v.steps[1:]):
-        if p == q:
-            odd = vec_sub(vec_add(pad(p, r), pad(q, r)), e_r)
-        else:
-            odd = vec_add(pad(p, r), pad(q, r))
-        steps.append(trim(odd))
-        steps.append(trim(tuple(2 * x for x in pad(q, r))))
-    return TableauSeq(OSCILLATING, r, tuple(steps))
+    steps = _v_to_o_vectors([pad(p, r) for p in v.steps])
+    return TableauSeq(OSCILLATING, r, tuple(map(trim, steps)))
+
+
+def _v_to_o_vectors(steps: list[WeightVec]) -> list[WeightVec]:
+    """:func:`iota_v_to_o` on vacillating steps padded to the rank, giving padded steps.
+
+    Step k of the vacillating tableau becomes position 2k, doubled; between
+    steps a and b sits a + b, less e_r when a == b.
+    """
+    out = [steps[0]]
+    for a, b in zip(steps, steps[1:]):
+        odd = tuple(map(add, a, b))
+        out.append(odd[:-1] + (odd[-1] - 1,) if a == b else odd)
+        out.append(tuple(2 * x for x in b))
+    return out
 
 
 def iota_v_to_f(v: TableauSeq) -> TableauSeq:
@@ -99,13 +107,11 @@ def iota_v_to_f(v: TableauSeq) -> TableauSeq:
     return TableauSeq(FAN, r, tuple(steps))
 
 
-def _halve(p, r: int):
-    out = []
-    for x in pad(p, r):
-        if x % 2:
-            raise NotInImage(f"{p} has an odd part where a doubled partition is required")
-        out.append(x // 2)
-    return trim(tuple(out))
+def _halve(mu: WeightVec) -> WeightVec:
+    """mu / 2 for a padded partition with even parts, or NotInImage."""
+    if any(x % 2 for x in mu):
+        raise NotInImage(f"{trim(mu)} has an odd part where a doubled partition is required")
+    return tuple(x // 2 for x in mu)
 
 
 def iota_f_to_o_inverse(t: TableauSeq) -> TableauSeq:
@@ -137,7 +143,7 @@ def _vac_inverse(t: TableauSeq, family: str, forward) -> TableauSeq:
         raise ValueError(f"expected a {family} tableau")
     if len(t) % 2 != 0:
         raise NotInImage(f"length {len(t)} is odd")
-    halves = [_halve(t.steps[k], t.rank) for k in range(0, len(t) + 1, 2)]
+    halves = [trim(_halve(pad(t.steps[k], t.rank))) for k in range(0, len(t) + 1, 2)]
     try:
         v = TableauSeq(VACILLATING, t.rank, tuple(halves))
     except ValueError as exc:

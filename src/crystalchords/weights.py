@@ -73,13 +73,3 @@ def dominant_representative(w: Sequence[int]) -> Partition:
     """
     return trim(tuple(sorted((abs(x) for x in w), reverse=True)))
 
-
-def union_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
-    """Row-wise sum of two partitions (so ``union_parts(d, d)`` is 2d)."""
-    return trim(vec_add(p, q))
-
-
-def intersect_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
-    """Row-wise minimum of two partitions."""
-    n = max(len(p), len(q))
-    return trim(tuple(min(a, b) for a, b in zip(pad(p, n), pad(q, n))))

@@ -19,17 +19,28 @@ from crystalchords.crystals import (
     OSCILLATING,
     RAISE,
     SPIN,
+    TableauSeq,
     Word,
     apply_letter_op,
+    letter_weight,
     letters,
     prefix_weights,
     tensor_apply,
 )
-from crystalchords.growth import blocksum
-from crystalchords.promotion import PromotionGrid, local_rule
-from crystalchords.virtual import iota_v_to_f, iota_v_to_o, psi_spin, psi_vec
+from crystalchords.growth import Matrix, blocksum
+from crystalchords.promotion import PromotionGrid
+from crystalchords.sieving import Poly, poly_trim
+from crystalchords.virtual import (
+    iota_v_to_f,
+    iota_v_to_o,
+    iota_v_to_o_inverse,
+    psi_spin,
+    psi_vec,
+)
 from crystalchords.weights import (
+    Partition,
     WeightVec,
+    dominant_representative,
     is_partition,
     pad,
     partition,
@@ -52,6 +63,13 @@ def fill_value(rule: str, lam, kap, nu) -> int:
     raise ValueError(f"unknown filling rule {rule!r}")
 
 
+def local_rule(lam: WeightVec, kap: WeightVec, nu: WeightVec) -> Partition:
+    """dom(kappa + nu - lambda) for equal-length weight vectors."""
+    if not len(lam) == len(kap) == len(nu):
+        raise ValueError("weight vectors must have equal length")
+    return dominant_representative(vec_add(kap, vec_sub(nu, lam)))
+
+
 def promote_steps(steps, r: int):
     """One local-rule promotion sweep, padding and trimming at every cell."""
     n = len(steps) - 1
@@ -62,6 +80,12 @@ def promote_steps(steps, r: int):
         out.append(trim(local_rule(pad(steps[j], r), pad(out[j - 1], r), pad(steps[j + 1], r))))
     out.append(())
     return tuple(out)
+
+
+def promote_vacillating(t: TableauSeq) -> TableauSeq:
+    """Vacillating promotion as iota_v_to_o_inverse(pr_O^2(iota_v_to_o(t)))."""
+    steps = promote_steps(promote_steps(iota_v_to_o(t).steps, t.rank), t.rank)
+    return iota_v_to_o_inverse(TableauSeq(OSCILLATING, t.rank, steps))
 
 
 def promotion_grid(t) -> PromotionGrid:
@@ -170,6 +194,14 @@ def spin_pair_energy_by_raising(r: int, a, b) -> int:
 # ------------------------------------------------------------ weights
 
 
+def box_partitions(rows: int, cols: int) -> list[Partition]:
+    """Every partition that fits in a rows x cols box."""
+    return [
+        tuple(x for x in c if x)
+        for c in itertools.combinations_with_replacement(range(cols, -1, -1), rows)
+    ]
+
+
 def step_classify(p: Sequence[int], q: Sequence[int]) -> tuple[str, int | None]:
     """Finest relation of q relative to p.
 
@@ -223,7 +255,66 @@ def root_system(type_tag: str, rank: int) -> RootSystemData:
     return RootSystemData(type_tag, rank, tuple(roots))
 
 
+def union_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
+    """Row-wise sum of two partitions (so ``union_parts(d, d)`` is 2d)."""
+    return trim(vec_add(p, q))
+
+
+def intersect_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
+    """Row-wise minimum of two partitions."""
+    n = max(len(p), len(q))
+    return trim(tuple(min(a, b) for a, b in zip(pad(p, n), pad(q, n))))
+
+
 # ------------------------------------------------------------ crystals
+
+
+def word_weight(w: Word) -> WeightVec:
+    """Sum of letter weights (spin letters contribute doubled weights)."""
+    total = (0,) * w.rank
+    for x in w.letters:
+        total = vec_add(total, letter_weight(w.kind, w.rank, x))
+    return total
+
+
+def fan_children(r: int, p: Partition) -> list[Partition]:
+    """Fan steps after p: all 2^r sign vectors tried, then sorted and de-duplicated."""
+    out: set[Partition] = set()
+    pp = pad(p, r)
+    for bits in range(1 << r):
+        q = tuple(pp[j] + (1 if bits & (1 << j) else -1) for j in range(r))
+        if all(a >= b for a, b in zip(q, q[1:])) and q[-1] >= 0:
+            out.add(trim(q))
+    return sorted(out)
+
+
+def enumerate_zero_validated(family: str, r: int, n: int) -> list[TableauSeq]:
+    """Weight-zero tableaux by brute force, each prefix validated, in lexicographic order.
+
+    Every part moves by at most one per step, so from p the candidates are
+    the partitions within one of p in each coordinate, none of whose parts
+    exceeds the number of steps left to return to the empty partition.
+    """
+    out = []
+
+    def extend(steps):
+        if len(steps) == n + 1:
+            if steps[-1] == ():
+                out.append(TableauSeq(family, r, tuple(steps)))
+            return
+        remaining = n - len(steps)
+        for q in itertools.product(*[(x - 1, x, x + 1) for x in pad(steps[-1], r)]):
+            if not is_partition(q) or max(q) > remaining:
+                continue
+            nxt = steps + [trim(q)]
+            try:
+                validate_tableau(SimpleNamespace(family=family, rank=r, steps=tuple(nxt)))
+            except ValueError:
+                continue
+            extend(nxt)
+
+    extend([()])
+    return sorted(out, key=lambda t: t.steps)
 
 
 def iter_words(kind: str, r: int, n: int) -> Iterator[Word]:
@@ -284,6 +375,29 @@ def bvec_word_image(w: Word) -> Word:
     for x in w.letters:
         out.extend(psi_vec(x, w.rank))
     return Word(CVEC, w.rank, tuple(out))
+
+
+# ------------------------------------------------------------ growth and sieving
+
+
+def matrix_from_triangle(rows: list[list[int]]) -> Matrix:
+    """Symmetric matrix with zero diagonal from triangle rows."""
+    n = len(rows) + 1
+    fill = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != i:
+            raise ValueError(f"triangle row {i} must have {i} entries")
+        for j, x in enumerate(row):
+            fill[i][j] = x
+            fill[j][i] = x
+    return tuple(tuple(r) for r in fill)
+
+
+def poly_add(p: Sequence[int], q: Sequence[int]) -> Poly:
+    n = max(len(p), len(q))
+    return poly_trim(
+        tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
+    )
 
 
 def is_vertical_strip(p: Sequence[int], q: Sequence[int]) -> bool:

@@ -15,6 +15,7 @@ from crystalchords.crystals import (
     RAISE,
     SPIN,
     VACILLATING,
+    TableauSeq,
     Word,
     apply_letter_op,
     cvec_order,
@@ -27,12 +28,11 @@ from crystalchords.crystals import (
     tensor_apply,
     validate_tableau,
     word_to_tableau,
-    word_weight,
 )
 from crystalchords.weights import vec_sub
 
 import oracles
-from oracles import all_prefixes_dominant, iter_words, root_system, string_stats
+from oracles import all_prefixes_dominant, iter_words, root_system, string_stats, word_weight
 
 FAN3_WORD = Word(SPIN, 3, ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1)))
 FAN3_STEPS = ((), (1, 1, 1), (2, 2), (1, 1, 1), ())
@@ -321,3 +321,58 @@ def test_validate_tableau_matches_step_classify_oracle(r):
             assert _validation_outcome(validate_tableau, family, r, steps) == want, (family, steps)
             accepted += want is None
     assert accepted > 10
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_fan_children_match_sign_vector_definition(r):
+    """Coordinate-wise children equal the sorted set over all 2^r sign vectors."""
+    from crystalchords.crystals import _children
+
+    for p in oracles.box_partitions(r, 4):
+        assert _children(FAN, r, p) == oracles.fan_children(r, p), p
+
+
+@pytest.mark.parametrize(
+    "family,rmax,nmax", [(OSCILLATING, 3, 8), (FAN, 4, 8), (VACILLATING, 3, 7)]
+)
+def test_trusted_enumeration_matches_validated_listing(family, rmax, nmax):
+    """The listing built without validation equals a brute-force validated one."""
+    for r in range(1, rmax + 1):
+        for n in range(nmax + 1):
+            got = enumerate_zero(family, r, n)
+            assert got == oracles.enumerate_zero_validated(family, r, n), (r, n)
+            for t in got:
+                validate_tableau(t)
+
+
+def test_trusted_and_validated_tableaux_are_interchangeable():
+    steps = ((), (1,), (1, 1), (1,), ())
+    trusted = TableauSeq._trusted(OSCILLATING, 2, steps)
+    validated = TableauSeq(OSCILLATING, 2, steps)
+    assert trusted == validated and validated == trusted
+    assert hash(trusted) == hash(validated)
+    assert len({trusted, validated}) == 1
+    assert trusted != TableauSeq(OSCILLATING, 3, steps)
+
+
+def test_boundary_constructors_validate():
+    """Every way in from outside still rejects a bad step sequence with validation's message."""
+    from crystalchords.growth import InvalidOutput, growth_inverse
+    from crystalchords.serialize import parse_tableau
+    from crystalchords.virtual import NotInImage, iota_inverse
+
+    with pytest.raises(ValueError, match=r"^oscillating step \(\) -> \(2,\) must add or remove one box$"):
+        tableau(OSCILLATING, 2, [(), (2,), ()])
+    with pytest.raises(ValueError, match=r"^oscillating step \(\) -> \(2,\) must add or remove one box$"):
+        parse_tableau("-,2,-", OSCILLATING, 2)
+    with pytest.raises(ValueError, match=r"^fan step \(\) -> \(1,\) must change every part by one$"):
+        parse_tableau({"family": FAN, "r": 2, "steps": [[], [1], []]})
+    # the hypotenuse of [[0]] is (), (), (): no oscillating tableau
+    with pytest.raises(InvalidOutput, match=r"^oscillating step \(\) -> \(\) must add or remove one box$"):
+        growth_inverse("zero_one", [[0]], OSCILLATING)
+    # halves (), () of a length-2 tableau repeat () in rank 1
+    with pytest.raises(NotInImage, match=r"^vacillating step may repeat \(\) only with all 1 parts positive$"):
+        iota_inverse((VACILLATING, OSCILLATING), tableau(OSCILLATING, 1, [(), (1,), ()]))
+    # steps 0 and 2 of a rank-2 oscillating tableau, () and (2,), are no fan step
+    with pytest.raises(NotInImage, match=r"^fan step \(\) -> \(2,\) must change every part by one$"):
+        iota_inverse((FAN, OSCILLATING), tableau(OSCILLATING, 2, [(), (1,), (2,), (1,), ()]))

@@ -28,11 +28,12 @@ from crystalchords.growth import (
     growth_inverse,
     growth_matrix,
     lower_triangle_rows,
-    matrix_from_triangle,
 )
 from crystalchords.promotion import chord_matrix
 from crystalchords.virtual import iota_f_to_o, iota_v_to_f, iota_v_to_o
 from crystalchords.weights import is_partition, pad, trim
+
+from oracles import box_partitions, matrix_from_triangle
 
 
 def test_cell_forward_examples():
@@ -422,14 +423,6 @@ def test_check_adjacent_matches_step_classify():
         assert got == expected, (p, q)
 
 
-def _box_partitions(rows: int, cols: int):
-    """Every partition that fits in a rows x cols box."""
-    return [
-        tuple(x for x in c if x)
-        for c in itertools.combinations_with_replacement(range(cols, -1, -1), rows)
-    ]
-
-
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -442,7 +435,7 @@ def test_carry_rules_match_the_row_by_row_definition():
     same results, same exception type and message, on every cell of a 3x3 box."""
     from oracles import backward_carry, forward_carry
 
-    box = _box_partitions(3, 3)
+    box = box_partitions(3, 3)
     assert len(box) == 20
     raised = 0
     for rule, burge in (("burge", True), ("rsk", False)):
@@ -458,9 +451,9 @@ def test_carry_rules_match_the_row_by_row_definition():
 
 def test_zero_one_union_and_meet_match_their_definition():
     from crystalchords.growth import _meet, _union_max
-    from crystalchords.weights import intersect_parts
+    from oracles import intersect_parts
 
-    box = _box_partitions(3, 3)
+    box = box_partitions(3, 3)
     for p in box:
         for q in box:
             assert _meet(p, q) == intersect_parts(p, q)
@@ -471,7 +464,7 @@ def test_box_moves_match_their_definition():
     """Adding or removing one box on canonical tuples, against padding and trimming."""
     from crystalchords.growth import _add_box, _remove_box
 
-    for p in _box_partitions(4, 3):
+    for p in box_partitions(4, 3):
         for row in range(1, 6):
             q = list(pad(p, max(len(p), row)))
             q[row - 1] += 1

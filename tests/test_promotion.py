@@ -20,7 +20,6 @@ from crystalchords.fixtures import (
 )
 from crystalchords.promotion import (
     chord_matrix,
-    local_rule,
     promote,
     promotion_grid,
     rotate_matrix,
@@ -28,7 +27,7 @@ from crystalchords.promotion import (
 from crystalchords.virtual import iota_f_to_o
 
 import oracles
-from oracles import fill_value
+from oracles import fill_value, local_rule
 
 
 def test_local_rule_examples():
@@ -216,3 +215,86 @@ def test_chord_matrix_requires_weight_zero():
     with pytest.raises(ValueError, match="weight zero"):
         chord_matrix("M_O", tableau(OSCILLATING, 1, [(), (1,)]))
     assert chord_matrix("M_O", tableau(OSCILLATING, 1, [()])) == ()
+
+
+def _outcome(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("family", [OSCILLATING, FAN])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_sweep_step_test_matches_check_step(family, r):
+    """The sweep's move test accepts exactly check_step's pairs, with its message.
+
+    The sweep starts its row at prev[0], so over [a, a, b] it forms the
+    single step a -> b, then b -> a, which both families accept iff they
+    accept a -> b.
+    """
+    from crystalchords.crystals import check_step
+    from crystalchords.promotion import _sweep
+    from crystalchords.weights import pad
+
+    box = [pad(p, r) for p in oracles.box_partitions(r, 3)]
+    accepted = 0
+    for a in box:
+        for b in box:
+            want = _outcome(check_step, family, a, b)
+            assert _outcome(_sweep, [a, a, b], family) == want, (a, b)
+            if want is None:
+                assert _sweep([a, a, b], family)[0] == [a, b, a]
+                accepted += 1
+                # a step that moves nothing is caught even when the steps after it are
+                # good: over [a, a, a, b] the sweep forms a -> a -> b -> a
+                stay = _outcome(check_step, family, a, a)
+                assert stay is not None and _outcome(_sweep, [a, a, a, b], family) == stay
+    assert accepted > 0
+
+
+def test_vacillating_promote_matches_embedding_round_trip():
+    """promote equals iota_v_to_o_inverse(pr_O^2(iota_v_to_o(t))) on vac r <= 3, n <= 7."""
+    count = 0
+    for r in range(1, 4):
+        for n in range(8):
+            for t in enumerate_zero(VACILLATING, r, n):
+                assert promote(t) == oracles.promote_vacillating(t), t
+                count += 1
+    assert count > 100
+    empty = tableau(VACILLATING, 2, [()])
+    assert promote(empty) == empty
+
+
+@pytest.mark.parametrize(
+    "steps,forged",
+    [
+        # an odd part at an even position
+        ([(), (1,), ()], [(), (1,), (1, 1), (1,), ()]),
+        # position 5 forged from (2, 1) to (3, 2), between the doubled (1, 1)s
+        (
+            [(), (1,), (1, 1), (1, 1), (1,), ()],
+            [(), (1,), (2,), (2, 1), (2, 2), (3, 2), (2, 2), (2, 1), (2,), (1,), ()],
+        ),
+        # halves (), (1,), (1,), (1,), (): a repeat without all parts positive
+        (
+            [(), (1,), (1, 1), (1,), ()],
+            [(), (1,), (2,), (2, 1), (2,), (1,), (2,), (1,), ()],
+        ),
+    ],
+)
+def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
+    """A pr_O^2 that left the image raises NotInImage with the inverse embedding's message."""
+    from crystalchords import promotion
+    from crystalchords.virtual import NotInImage, iota_v_to_o_inverse
+    from crystalchords.weights import pad
+
+    with pytest.raises(NotInImage) as want:
+        iota_v_to_o_inverse(tableau(OSCILLATING, 2, forged))
+    t = tableau(VACILLATING, 2, steps)
+    row = [pad(p, 2) for p in forged]
+    monkeypatch.setattr(promotion, "_sweep", lambda prev, family: (row, []))
+    with pytest.raises(NotInImage) as got:
+        promote(t)
+    assert str(got.value) == str(want.value)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,6 @@ from crystalchords.sieving import (
     h_poly,
     local_energy,
     orbit_decomposition,
-    poly_add,
     poly_divexact,
     poly_mod_cyclic,
     poly_mul,
@@ -37,7 +37,7 @@ from crystalchords.sieving import (
     syt_h_poly,
 )
 
-from oracles import spin_pair_energy_by_raising
+from oracles import poly_add, spin_pair_energy_by_raising
 
 
 def test_poly_arithmetic():
@@ -212,6 +212,24 @@ def test_orbit_decomposition_orders():
     assert all(6 % s == 0 for s in dec.sizes)
     with pytest.raises(ValueError):
         orbit_decomposition(xs, 4)
+
+
+def test_orbit_decomposition_stops_when_the_action_misses_its_start():
+    """A constant action walks t into a fixed point other than t; that is reported."""
+    els = enumerate_zero(OSCILLATING, 2, 4)
+    calls = []
+
+    def constant(t):
+        calls.append(t)
+        if len(calls) > 100:
+            raise AssertionError("the walk was not cut")
+        return els[0]
+
+    with pytest.raises(ValueError, match=f"^action does not return to {re.escape(repr(els[1]))}"):
+        orbit_decomposition(els, 4, action=constant)
+    # one cycle through the whole set is the longest orbit that still closes
+    step = {t: els[(k + 1) % len(els)] for k, t in enumerate(els)}
+    assert orbit_decomposition(els, len(els), action=step.__getitem__).sizes == (len(els),)
 
 
 @pytest.mark.parametrize("family", [OSCILLATING, FAN])

@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crystalchords.weights import (
-    dominant_representative,
+from crystalchords.weights import dominant_representative, pad, partition, trim
+
+from oracles import (
     intersect_parts,
-    pad,
-    partition,
-    trim,
+    is_horizontal_strip,
+    is_vertical_strip,
+    root_system,
+    step_classify,
     union_parts,
 )
-
-from oracles import is_horizontal_strip, is_vertical_strip, root_system, step_classify
 
 weight_vecs = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple)
 partitions = st.lists(st.integers(0, 5), min_size=0, max_size=5).map(
