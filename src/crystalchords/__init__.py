@@ -25,7 +25,7 @@ from .growth import (
     growth_inverse,
     growth_matrix,
 )
-from .promotion import chord_matrix, promote, promotion_grid, rotate_matrix
+from .promotion import chord_matrix, promote, rotate_matrix
 from .sieving import csp_check, energy, f_poly, g_poly, h_poly, syt_h_poly
 from .virtual import (
     NotInImage,
@@ -69,7 +69,6 @@ __all__ = [
     "is_highest",
     "partition",
     "promote",
-    "promotion_grid",
     "psi_spin",
     "psi_vec",
     "rotate_matrix",

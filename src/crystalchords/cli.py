@@ -9,12 +9,12 @@ import argparse
 import functools
 import json
 import multiprocessing
-import os
 import random
 import sys
 
 from . import __version__
 from .crystals import (
+    FAMILIES,
     FAN,
     OSCILLATING,
     VACILLATING,
@@ -60,7 +60,8 @@ FAMILY_ALIASES = {
     "vacillating": VACILLATING,
 }
 
-DEFAULT_MAP = {OSCILLATING: "M_O", FAN: "M_F", VACILLATING: "M_VO"}
+# the chord maps of each family, its default first
+FAMILY_MAPS = {f: tuple(tag for tag, g in CHORD_MAPS.items() if g == f) for f in FAMILIES}
 
 SUITES = (
     "osc-main",
@@ -104,13 +105,6 @@ def _emit_tableau(t: TableauSeq, fmt: str) -> str:
     if fmt == "json":
         return dump_json(tableau_to_json(t))
     return render_tableau(t)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("CRYSTALCHORDS_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _pool_map(fn, items, jobs):
@@ -157,7 +151,7 @@ def cmd_promote(args) -> int:
 
 def cmd_chord(args) -> int:
     t = _load_tableau(args)
-    tag = args.map or DEFAULT_MAP[t.family]
+    tag = args.map or FAMILY_MAPS[t.family][0]
     m = chord_matrix(tag, t)
     if args.format == "json":
         print(dump_json({"map": tag, "matrix": matrix_to_json(m)}))
@@ -206,25 +200,26 @@ def cmd_growth(args) -> int:
     return 0
 
 
+# plain and --deep (max rank, max length) of each family, in report order
+VERIFY_RANGES = {
+    OSCILLATING: ((3, 8), (3, 10)),
+    FAN: ((3, 6), (3, 8)),
+    VACILLATING: ((2, 6), (3, 7)),
+}
+
+# the main suites check one family; rotation, order, blowup-lemmas run over all
+MAIN_SUITE_FAMILY = {"osc-main": OSCILLATING, "fans-main": FAN, "vac-main": VACILLATING}
+
+
 def _scales(suite: str, args) -> list[tuple[str, int, int]]:
     """(family, r, n) triples covered by a verification suite."""
-    deep = args.deep
-    if suite == "osc-main":
-        specs = [(OSCILLATING, 3, 10 if deep else 8)]
-    elif suite == "fans-main":
-        specs = [(FAN, 3, 8 if deep else 6)]
-    elif suite == "vac-main":
-        specs = [(VACILLATING, 3 if deep else 2, 7 if deep else 6)]
-    else:  # rotation, order, blowup-lemmas run over everything
-        specs = [
-            (OSCILLATING, 3, 10 if deep else 8),
-            (FAN, 3, 8 if deep else 6),
-            (VACILLATING, 3 if deep else 2, 7 if deep else 6),
-        ]
+    families = [MAIN_SUITE_FAMILY[suite]] if suite in MAIN_SUITE_FAMILY else list(VERIFY_RANGES)
     if args.family:
-        specs = [s for s in specs if s[0] == _family(args.family)]
+        families = [f for f in families if f == _family(args.family)]
     out = []
-    for family, rmax, nmax in specs:
+    for family in families:
+        plain, deep = VERIFY_RANGES[family]
+        rmax, nmax = deep if args.deep else plain
         rmax = min(rmax, args.r) if args.r else rmax
         nmax = min(nmax, args.n) if args.n else nmax
         for r in range(1, rmax + 1):
@@ -234,21 +229,16 @@ def _scales(suite: str, args) -> list[tuple[str, int, int]]:
 
 
 def _check_main(t: TableauSeq) -> str | None:
-    if t.family == OSCILLATING:
-        return None if growth_matrix(t.family, t) == chord_matrix("M_O", t) else "G_O != M_O"
-    if t.family == FAN:
-        return None if growth_matrix(t.family, t) == chord_matrix("M_F", t) else "G_F != M_F"
     g = growth_matrix(t.family, t)
-    if g != chord_matrix("M_VO", t):
-        return "G_V != M_VO"
-    if g != chord_matrix("M_VF", t):
-        return "G_V != M_VF"
+    for tag in FAMILY_MAPS[t.family]:
+        if g != chord_matrix(tag, t):
+            # G_O, G_F, G_V: the growth route of the family
+            return f"G_{t.family[0].upper()} != {tag}"
     return None
 
 
 def _check_rotation(t: TableauSeq) -> str | None:
-    tags = {OSCILLATING: ["M_O"], FAN: ["M_F"], VACILLATING: ["M_VO", "M_VF"]}[t.family]
-    for tag in tags:
+    for tag in FAMILY_MAPS[t.family]:
         m = chord_matrix(tag, t)
         n = len(t)
         if any(m[i][j] != m[j][i] for i in range(n) for j in range(n)):
@@ -257,8 +247,7 @@ def _check_rotation(t: TableauSeq) -> str | None:
             return f"{tag} has a nonzero diagonal"
         if chord_matrix(tag, promote(t)) != rotate_matrix(m):
             return f"{tag} does not intertwine promotion with rotation"
-    if t.family == OSCILLATING:
-        m = chord_matrix("M_O", t)
+    if t.family == OSCILLATING:  # m is M_O, the only oscillating map
         if any(sum(row) != 1 for row in m) or any(sum(col) != 1 for col in zip(*m)):
             return "M_O is not a perfect matching"
     return None
@@ -376,7 +365,6 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    jobs = args.jobs or _default_jobs()
     if suite == "rule-inversion":
         failures = _rule_inversion_failures(args.cases)
         report = {
@@ -394,7 +382,7 @@ def cmd_verify(args) -> int:
     for family, r, n in _scales(suite, args):
         items = enumerate_zero(family, r, n)
         instances += len(items)
-        for t, res in zip(items, _pool_map(check, items, jobs)):
+        for t, res in zip(items, _pool_map(check, items, args.jobs)):
             if res is not None:
                 failures.append({"family": family, "r": r, "tableau": render_tableau(t), "reason": res})
     report = {
@@ -510,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--cases", type=int, default=10000, help="rule-inversion sample size")
     p.add_argument("--deep", action="store_true", help="extend to the stretch ranges")
-    p.add_argument("--jobs", type=int, help="parallel workers (default $CRYSTALCHORDS_JOBS)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("csp", help="cyclic sieving check")

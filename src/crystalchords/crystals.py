@@ -17,18 +17,10 @@ products is re-indexed here and nowhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
-from .weights import (
-    Partition,
-    WeightVec,
-    is_partition,
-    pad,
-    partition,
-    trim,
-    unit_vector,
-    vec_add,
-)
+from .weights import Partition, WeightVec, is_partition, pad, partition, trim
 
 SPIN = "spin"
 CVEC = "cvec"
@@ -82,10 +74,10 @@ def letter_weight(kind: str, r: int, x) -> WeightVec:
     """Weight of a letter; spin weights are stored doubled (entries +-1)."""
     if kind == SPIN:
         return x
-    if x == 0:
-        return (0,) * r
-    v = unit_vector(abs(x), r)
-    return v if x > 0 else tuple(-c for c in v)
+    out = [0] * r
+    if x:
+        out[abs(x) - 1] = 1 if x > 0 else -1
+    return tuple(out)
 
 
 def apply_letter_op(kind: str, r: int, i: int, direction: str, x):
@@ -224,7 +216,7 @@ def prefix_weights(w: Word) -> list[WeightVec]:
     """Partial weight sums over u_1..u_q for q = 0..n."""
     out = [(0,) * w.rank]
     for x in w.letters:
-        out.append(vec_add(out[-1], letter_weight(w.kind, w.rank, x)))
+        out.append(tuple(map(add, out[-1], letter_weight(w.kind, w.rank, x))))
     return out
 
 
@@ -358,14 +350,16 @@ def _children(family: str, r: int, p: Partition) -> list[Partition]:
     return sorted(out)
 
 
-def _feasible(family: str, r: int, p: Partition, remaining: int) -> bool:
-    """Can p still reach the empty partition in the remaining steps?"""
-    size = sum(p)
+def _feasible(family: str, p: Partition, remaining: int) -> bool:
+    """Can p still reach the empty partition in the remaining steps?
+
+    Parity needs no test: :func:`enumerate_zero` lists no oscillating
+    tableau or fan of odd length, and at an even length every step k of
+    such a path has size (oscillating) or parts (fan) of the parity of k.
+    """
     if family == FAN:
-        return all(x <= remaining and (x - remaining) % 2 == 0 for x in pad(p, r))
-    if family == OSCILLATING:
-        return size <= remaining and (size - remaining) % 2 == 0
-    return size <= remaining
+        return not p or p[0] <= remaining
+    return sum(p) <= remaining
 
 
 def enumerate_zero(
@@ -388,7 +382,11 @@ def enumerate_zero(
     for p, q in zip(start, start[1:]):
         if q not in _children(family, r, p):
             return []
-    if _feasible(family, r, start[-1], n - len(start) + 1):
+    if n % 2 and family != VACILLATING:
+        # a step changes the size of an oscillating tableau, and every part of
+        # a fan, by one, so only a vacillating tableau returns to empty in odd n
+        return []
+    if _feasible(family, start[-1], n - len(start) + 1):
         _extend(family, r, start, n - len(start) + 1, results)
     return results
 
@@ -400,7 +398,7 @@ def _extend(family: str, r: int, steps: list, remaining: int, results: list) -> 
         results.append(TableauSeq._trusted(family, r, tuple(steps)))
         return
     for q in _children(family, r, steps[-1]):
-        if _feasible(family, r, q, remaining - 1):
+        if _feasible(family, q, remaining - 1):
             steps.append(q)
             _extend(family, r, steps, remaining - 1, results)
             steps.pop()

@@ -12,17 +12,17 @@ indices mod n, so no geometric cut-and-glue is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from .crystals import _UNIT_MOVES, FAN, OSCILLATING, VACILLATING, TableauSeq, check_step
 from .growth import blocksum
 from .virtual import NotInImage, _halve, _v_to_o_vectors, iota_v_to_f, iota_v_to_o
-from .weights import Partition, WeightVec, pad, trim
+from .weights import WeightVec, pad, trim
 
 Matrix = tuple[tuple[int, ...], ...]
 
-CHORD_MAPS = ("M_O", "M_F", "M_VO", "M_VF")
+# chord map tag -> the family it maps from; the first map of a family is its default
+CHORD_MAPS = {"M_O": OSCILLATING, "M_F": FAN, "M_VO": VACILLATING, "M_VF": VACILLATING}
 
 
 def _sweep(prev: list[WeightVec], family: str) -> tuple[list[WeightVec], list[WeightVec]]:
@@ -86,55 +86,24 @@ def promote(t: TableauSeq) -> TableauSeq:
     return TableauSeq._trusted(t.family, r, tuple(map(trim, steps)))
 
 
-@dataclass(frozen=True)
-class PromotionGrid:
-    """Successive promotions of a weight-zero tableau, addressed modularly."""
-
-    length: int
-    rank: int
-    rows: tuple[tuple[Partition, ...], ...]  # rows[i] = steps of pr^i(T)
-
-    def entry(self, i: int, j: int) -> Partition:
-        """mu^{i,j}: the (j-i)-th entry of pr^i(T), indices mod length."""
-        n = self.length
-        return self.rows[i % n][(j - i) % n]
-
-
-def promotion_grid(t: TableauSeq) -> PromotionGrid:
-    n = len(t)
-    rows = []
-    cur = t
-    for _ in range(n):
-        rows.append(cur.steps)
-        cur = promote(cur)
-    return PromotionGrid(n, t.rank, tuple(rows))
-
-
 def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
     """Adjacency matrix of the chord diagram attached to a weight-zero tableau."""
-    if tag == "M_O":
-        if t.family != OSCILLATING:
-            raise ValueError("M_O expects an oscillating tableau")
-        return _promotion_fill(t)
-    if tag == "M_F":
-        if t.family != FAN:
-            raise ValueError("M_F expects a fan of Dyck paths")
+    family = CHORD_MAPS.get(tag)
+    if family is None:
+        raise ValueError(f"unknown chord map {tag!r}")
+    if t.family != family:
+        raise ValueError(f"{tag} expects the {family} family, got {t.family}")
+    if family != VACILLATING:
         return _promotion_fill(t)
     if tag == "M_VO":
-        if t.family != VACILLATING:
-            raise ValueError("M_VO expects a vacillating tableau")
         return blocksum(_promotion_fill(iota_v_to_o(t)), 2)
-    if tag == "M_VF":
-        if t.family != VACILLATING:
-            raise ValueError("M_VF expects a vacillating tableau")
-        raw = blocksum(_promotion_fill(iota_v_to_f(t)), 2)
-        # the doubled-length fan filling puts 2(r-1) in every diagonal block
-        shift = 2 * (t.rank - 1)
-        return tuple(
-            tuple(x - shift if i == j else x for j, x in enumerate(row))
-            for i, row in enumerate(raw)
-        )
-    raise ValueError(f"unknown chord map {tag!r}")
+    raw = blocksum(_promotion_fill(iota_v_to_f(t)), 2)
+    # the doubled-length fan filling puts 2(r-1) in every diagonal block
+    shift = 2 * (t.rank - 1)
+    return tuple(
+        tuple(x - shift if i == j else x for j, x in enumerate(row))
+        for i, row in enumerate(raw)
+    )
 
 
 def _promotion_fill(t: TableauSeq) -> Matrix:

@@ -7,7 +7,7 @@ vacillating->oscillating and vacillating->fan.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .crystals import (
     CVEC,
@@ -18,7 +18,7 @@ from .crystals import (
     cvec_order,
     letter_weight,
 )
-from .weights import WeightVec, pad, trim, unit_vector, vec_add, vec_sub
+from .weights import WeightVec, pad, trim
 
 
 class NotInImage(Exception):
@@ -49,25 +49,34 @@ def iota_f_to_o(f: TableauSeq) -> TableauSeq:
     if f.family != FAN:
         raise ValueError("expected a fan of Dyck paths")
     r = f.rank
+    padded = [pad(p, r) for p in f.steps]
     steps = [()]
-    for p, q in zip(f.steps, f.steps[1:]):
-        eps = tuple(b - a for a, b in zip(pad(p, r), pad(q, r)))
-        mu = pad(p, r)
-        for v in psi_spin(eps, r):
-            mu = vec_add(mu, letter_weight(CVEC, r, v))
+    for a, b in zip(padded, padded[1:]):
+        mu = a
+        for x in psi_spin(tuple(map(sub, b, a)), r):
+            mu = tuple(map(add, mu, letter_weight(CVEC, r, x)))
             steps.append(trim(mu))
     return TableauSeq(OSCILLATING, r, tuple(steps))
 
 
 def iota_v_to_o(v: TableauSeq) -> TableauSeq:
     """Oscillating tableau of twice the length; doubled corners at even positions."""
+    return _vac_embedding(v, OSCILLATING, _v_to_o_vectors)
+
+
+def iota_v_to_f(v: TableauSeq) -> TableauSeq:
+    """Fan of twice the length; doubled corners at even positions."""
+    return _vac_embedding(v, FAN, _v_to_f_vectors)
+
+
+def _vac_embedding(v: TableauSeq, family: str, vectors) -> TableauSeq:
     if v.family != VACILLATING:
         raise ValueError("expected a vacillating tableau")
     if v.weight != ():
         raise ValueError("embedding requires weight zero")
     r = v.rank
-    steps = _v_to_o_vectors([pad(p, r) for p in v.steps])
-    return TableauSeq(OSCILLATING, r, tuple(map(trim, steps)))
+    steps = vectors([pad(p, r) for p in v.steps])
+    return TableauSeq(family, r, tuple(map(trim, steps)))
 
 
 def _v_to_o_vectors(steps: list[WeightVec]) -> list[WeightVec]:
@@ -84,27 +93,18 @@ def _v_to_o_vectors(steps: list[WeightVec]) -> list[WeightVec]:
     return out
 
 
-def iota_v_to_f(v: TableauSeq) -> TableauSeq:
-    """Fan of twice the length; doubled corners at even positions."""
-    if v.family != VACILLATING:
-        raise ValueError("expected a vacillating tableau")
-    if v.weight != ():
-        raise ValueError("embedding requires weight zero")
-    r = v.rank
-    ones = (1,) * r
-    e_r = unit_vector(r, r)
-    steps = [()]
-    for p, q in zip(v.steps, v.steps[1:]):
-        pp, qq = pad(p, r), pad(q, r)
-        if p == q:
-            odd = vec_sub(vec_add(tuple(2 * x for x in pp), ones), tuple(2 * x for x in e_r))
-        elif sum(qq) > sum(pp):
-            odd = vec_add(tuple(2 * x for x in pp), ones)
-        else:
-            odd = vec_add(tuple(2 * x for x in qq), ones)
-        steps.append(trim(odd))
-        steps.append(trim(tuple(2 * x for x in qq)))
-    return TableauSeq(FAN, r, tuple(steps))
+def _v_to_f_vectors(steps: list[WeightVec]) -> list[WeightVec]:
+    """:func:`iota_v_to_f` on vacillating steps padded to the rank, giving padded steps.
+
+    Step k of the vacillating tableau becomes position 2k, doubled; between
+    steps a and b sits 2 min(a, b) + 1, less 2 e_r when a == b.
+    """
+    out = [steps[0]]
+    for a, b in zip(steps, steps[1:]):
+        odd = tuple(2 * min(x, y) + 1 for x, y in zip(a, b))
+        out.append(odd[:-1] + (odd[-1] - 2,) if a == b else odd)
+        out.append(tuple(2 * x for x in b))
+    return out
 
 
 def _halve(mu: WeightVec) -> WeightVec:

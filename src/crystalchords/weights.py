@@ -46,25 +46,6 @@ def pad(parts: Sequence[int], length: int) -> WeightVec:
     return tuple(parts) + (0,) * (length - len(parts))
 
 
-def vec_add(u: Sequence[int], v: Sequence[int]) -> WeightVec:
-    n = max(len(u), len(v))
-    u, v = pad(u, n), pad(v, n)
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[int], v: Sequence[int]) -> WeightVec:
-    n = max(len(u), len(v))
-    u, v = pad(u, n), pad(v, n)
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def unit_vector(i: int, r: int) -> WeightVec:
-    """Standard basis vector e_i (1-based position) in Z^r."""
-    if not 1 <= i <= r:
-        raise ValueError(f"position {i} out of range 1..{r}")
-    return tuple(1 if j == i else 0 for j in range(1, r + 1))
-
-
 def dominant_representative(w: Sequence[int]) -> Partition:
     """Sort the absolute values of the entries weakly decreasing.
 

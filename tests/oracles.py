@@ -28,7 +28,6 @@ from crystalchords.crystals import (
     tensor_apply,
 )
 from crystalchords.growth import Matrix, blocksum
-from crystalchords.promotion import PromotionGrid
 from crystalchords.sieving import Poly, poly_trim
 from crystalchords.virtual import (
     iota_v_to_f,
@@ -45,10 +44,24 @@ from crystalchords.weights import (
     pad,
     partition,
     trim,
-    unit_vector,
-    vec_add,
-    vec_sub,
 )
+
+
+# ------------------------------------------------------------ promotion
+
+
+@dataclass(frozen=True)
+class PromotionGrid:
+    """Successive promotions of a weight-zero tableau, addressed modularly."""
+
+    length: int
+    rank: int
+    rows: tuple[tuple[Partition, ...], ...]  # rows[i] = steps of pr^i(T)
+
+    def entry(self, i: int, j: int) -> Partition:
+        """mu^{i,j}: the (j-i)-th entry of pr^i(T), indices mod length."""
+        n = self.length
+        return self.rows[i % n][(j - i) % n]
 
 
 def fill_value(rule: str, lam, kap, nu) -> int:
@@ -192,6 +205,27 @@ def spin_pair_energy_by_raising(r: int, a, b) -> int:
 
 
 # ------------------------------------------------------------ weights
+
+
+def vec_add(u: Sequence[int], v: Sequence[int]) -> WeightVec:
+    """Entrywise sum, the shorter vector padded with zeros."""
+    n = max(len(u), len(v))
+    u, v = pad(u, n), pad(v, n)
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u: Sequence[int], v: Sequence[int]) -> WeightVec:
+    """Entrywise difference, the shorter vector padded with zeros."""
+    n = max(len(u), len(v))
+    u, v = pad(u, n), pad(v, n)
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def unit_vector(i: int, r: int) -> WeightVec:
+    """Standard basis vector e_i (1-based position) in Z^r."""
+    if not 1 <= i <= r:
+        raise ValueError(f"position {i} out of range 1..{r}")
+    return tuple(1 if j == i else 0 for j in range(1, r + 1))
 
 
 def box_partitions(rows: int, cols: int) -> list[Partition]:
@@ -347,6 +381,39 @@ def all_prefixes_dominant(w: Word) -> bool:
 
 
 # ------------------------------------------------------------ virtualization
+
+
+def iota_f_to_o_by_letters(f: TableauSeq) -> TableauSeq:
+    """The fan->oscillating embedding, adding one C-letter weight at a time."""
+    r = f.rank
+    steps = [()]
+    for p, q in zip(f.steps, f.steps[1:]):
+        eps = tuple(b - a for a, b in zip(pad(p, r), pad(q, r)))
+        mu = pad(p, r)
+        for v in psi_spin(eps, r):
+            e = unit_vector(abs(v), r)
+            mu = vec_add(mu, e) if v > 0 else vec_sub(mu, e)
+            steps.append(trim(mu))
+    return TableauSeq(OSCILLATING, r, tuple(steps))
+
+
+def iota_v_to_f_by_cases(v: TableauSeq) -> TableauSeq:
+    """The vacillating->fan embedding, one case per kind of vacillating step."""
+    r = v.rank
+    ones = (1,) * r
+    e_r = unit_vector(r, r)
+    steps = [()]
+    for p, q in zip(v.steps, v.steps[1:]):
+        pp, qq = pad(p, r), pad(q, r)
+        if p == q:
+            odd = vec_sub(vec_add(tuple(2 * x for x in pp), ones), tuple(2 * x for x in e_r))
+        elif sum(qq) > sum(pp):
+            odd = vec_add(tuple(2 * x for x in pp), ones)
+        else:
+            odd = vec_add(tuple(2 * x for x in qq), ones)
+        steps.append(trim(odd))
+        steps.append(trim(tuple(2 * x for x in qq)))
+    return TableauSeq(FAN, r, tuple(steps))
 
 
 def virtual_apply(w: Word, i: int, direction: str) -> Word | None:

@@ -219,3 +219,84 @@ def test_csp_reports_an_exception_in_the_sieve_check(capsys, monkeypatch, conjec
     assert payload["holds"] is False
     assert payload["reason"] == "exception: ValueError: injected fault"
     assert (payload["family"], payload["set_size"], payload["conjecture"]) == ("fan", 3, bool(conjecture))
+
+
+def _reversed_matrix(m):
+    # conjugation by i -> n-1-i: still symmetric with a zero diagonal, but it
+    # breaks both G = M and the intertwining with rotation
+    return tuple(row[::-1] for row in m[::-1])
+
+
+@pytest.mark.parametrize(
+    "tag, suite, family, reason",
+    [
+        ("M_O", "osc-main", "osc", "G_O != M_O"),
+        ("M_F", "fans-main", "fan", "G_F != M_F"),
+        ("M_VO", "vac-main", "vac", "G_V != M_VO"),
+        ("M_VF", "vac-main", "vac", "G_V != M_VF"),
+        ("M_O", "rotation", "osc", "M_O does not intertwine promotion with rotation"),
+        ("M_F", "rotation", "fan", "M_F does not intertwine promotion with rotation"),
+        ("M_VO", "rotation", "vac", "M_VO does not intertwine promotion with rotation"),
+        ("M_VF", "rotation", "vac", "M_VF does not intertwine promotion with rotation"),
+    ],
+)
+def test_verify_names_the_chord_map_that_fails(capsys, monkeypatch, tag, suite, family, reason):
+    from crystalchords import cli
+
+    original = cli.chord_matrix
+
+    def chord_matrix(name, t):
+        m = original(name, t)
+        return _reversed_matrix(m) if name == tag else m
+
+    monkeypatch.setattr(cli, "chord_matrix", chord_matrix)
+    code, out, _ = run(capsys, "verify", suite, "--family", family, "--r", "2", "--n", "6")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["counterexamples"]
+    assert {c["reason"] for c in payload["counterexamples"]} == {reason}
+
+
+# the (max rank, max length) ranges of each suite, plain and --deep, in report order
+VERIFY_SCALES = {
+    "osc-main": {False: [("oscillating", 3, 8)], True: [("oscillating", 3, 10)]},
+    "fans-main": {False: [("fan", 3, 6)], True: [("fan", 3, 8)]},
+    "vac-main": {False: [("vacillating", 2, 6)], True: [("vacillating", 3, 7)]},
+}
+for _suite in ("rotation", "order", "blowup-lemmas"):
+    VERIFY_SCALES[_suite] = {
+        False: [("oscillating", 3, 8), ("fan", 3, 6), ("vacillating", 2, 6)],
+        True: [("oscillating", 3, 10), ("fan", 3, 8), ("vacillating", 3, 7)],
+    }
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SCALES))
+@pytest.mark.parametrize("deep", [False, True])
+@pytest.mark.parametrize(
+    "options",
+    [(), ("--family", "fan"), ("--family", "vac"), ("--r", "2"), ("--n", "5"), ("--family", "osc", "--r", "1", "--n", "4")],
+)
+def test_verify_scales(suite, deep, options):
+    from crystalchords import cli
+
+    args = cli.build_parser().parse_args(["verify", suite, *options, *(["--deep"] if deep else [])])
+    family = cli.FAMILY_ALIASES[args.family] if args.family else None
+    expected = []
+    for fam, rmax, nmax in VERIFY_SCALES[suite][deep]:
+        if family not in (None, fam):
+            continue
+        rmax = min(rmax, args.r) if args.r else rmax
+        nmax = min(nmax, args.n) if args.n else nmax
+        expected += [(fam, r, n) for r in range(1, rmax + 1) for n in range(nmax + 1)]
+    assert cli._scales(suite, args) == expected
+
+
+def test_chord_maps_of_each_family_and_jobs_default():
+    from crystalchords import cli
+
+    assert cli.FAMILY_MAPS == {
+        "oscillating": ("M_O",),
+        "fan": ("M_F",),
+        "vacillating": ("M_VO", "M_VF"),
+    }
+    assert cli.build_parser().parse_args(["verify", "osc-main"]).jobs == 1

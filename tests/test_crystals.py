@@ -29,10 +29,16 @@ from crystalchords.crystals import (
     validate_tableau,
     word_to_tableau,
 )
-from crystalchords.weights import vec_sub
-
 import oracles
-from oracles import all_prefixes_dominant, iter_words, root_system, string_stats, word_weight
+from oracles import (
+    all_prefixes_dominant,
+    iter_words,
+    root_system,
+    string_stats,
+    vec_add,
+    vec_sub,
+    word_weight,
+)
 
 FAN3_WORD = Word(SPIN, 3, ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1)))
 FAN3_STEPS = ((), (1, 1, 1), (2, 2), (1, 1, 1), ())
@@ -251,7 +257,7 @@ def test_vacillating_highest_characterization(r, n):
         sums = [(0,) * r]
         ok = True
         for x in w.letters:
-            from crystalchords.weights import is_partition, trim, vec_add
+            from crystalchords.weights import is_partition, trim
 
             nxt = vec_add(sums[-1], letter_weight(BVEC, r, x))
             if not is_partition(nxt):
@@ -290,6 +296,23 @@ def test_enumerate_zero_prefix_splitting():
     assert enumerate_zero(FAN, 2, 6, prefix=[(), (2,)]) == []
     with pytest.raises(ValueError):
         enumerate_zero(FAN, 2, 2, prefix=[(1, 1)])
+
+
+def test_enumerate_zero_odd_length_checks_the_prefix_first():
+    # only a vacillating tableau returns to empty in an odd number of steps
+    assert enumerate_zero(OSCILLATING, 2, 5, prefix=[(), (1,)]) == []
+    assert enumerate_zero(FAN, 2, 5, prefix=[(), (1, 1)]) == []
+    assert [t.steps[:2] for t in enumerate_zero(VACILLATING, 1, 3, prefix=[(), (1,)])] == [((), (1,))]
+    with pytest.raises(ValueError):
+        enumerate_zero(FAN, 2, 5, prefix=[(1, 1)])
+
+
+@pytest.mark.parametrize("kind", [CVEC, BVEC])
+def test_letter_weight_is_a_signed_unit_vector(kind):
+    for r in range(1, 4):
+        for x in letters(kind, r):
+            e = oracles.unit_vector(abs(x), r) if x else (0,) * r
+            assert letter_weight(kind, r, x) == (e if x > 0 else tuple(-c for c in e))
 
 
 def _validation_outcome(validate, family, r, steps):

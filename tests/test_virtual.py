@@ -27,7 +27,13 @@ from crystalchords.virtual import (
     psi_vec,
 )
 
-from oracles import bvec_word_image, spin_word_image, virtual_apply
+from oracles import (
+    bvec_word_image,
+    iota_f_to_o_by_letters,
+    iota_v_to_f_by_cases,
+    spin_word_image,
+    virtual_apply,
+)
 
 VAC9 = tableau(
     VACILLATING,
@@ -193,3 +199,14 @@ def test_iota_v_to_o_matches_word_concatenation(r, nmax):
         for v in enumerate_zero(VACILLATING, r, n):
             via_words = word_to_tableau(bvec_word_image(tableau_to_word(v)))
             assert via_words.steps == iota_v_to_o(v).steps
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_embeddings_on_padded_vectors_match_their_stepwise_definitions(r):
+    """iota_f_to_o adds letter weights and iota_v_to_f has one case per step kind."""
+    for n in range(8 + 1):
+        for f in enumerate_zero(FAN, r, n):
+            assert iota_f_to_o(f) == iota_f_to_o_by_letters(f), f
+    for n in range(7 + 1):
+        for v in enumerate_zero(VACILLATING, r, n):
+            assert iota_v_to_f(v) == iota_v_to_f_by_cases(v), v
