@@ -156,6 +156,15 @@ class Word:
             if not is_letter(self.kind, self.rank, x):
                 raise ValueError(f"{x!r} is not a {self.kind} letter of rank {self.rank}")
 
+    @classmethod
+    def _trusted(cls, kind: str, rank: int, letters: tuple) -> Word:
+        """A word built without validation, for callers whose letters are letters by construction."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "kind", kind)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -317,7 +326,8 @@ def tableau_to_word(t: TableauSeq) -> Word:
                 out.append(rows[0])
             else:
                 out.append(-rows[0])
-    return Word(kind, t.rank, tuple(out))
+    # the steps of a valid tableau differ by letters of its family's crystal
+    return Word._trusted(kind, t.rank, tuple(out))
 
 
 def _children(family: str, r: int, p: Partition) -> list[Partition]:

@@ -378,6 +378,28 @@ def test_trusted_and_validated_tableaux_are_interchangeable():
     assert trusted != TableauSeq(OSCILLATING, 3, steps)
 
 
+@pytest.mark.parametrize("family", [OSCILLATING, FAN, VACILLATING])
+def test_tableau_to_word_equals_a_validated_word(family):
+    """The word tableau_to_word builds without validation passes validation and maps back."""
+    count = 0
+    for r in range(1, 4):
+        for n in range(9):
+            for t in enumerate_zero(family, r, n):
+                w = tableau_to_word(t)
+                validated = Word(w.kind, w.rank, w.letters)
+                assert w == validated and hash(w) == hash(validated), t
+                assert word_to_tableau(w) == t
+                count += 1
+    assert count > 100
+    # the public constructor still checks every letter
+    with pytest.raises(ValueError, match=r"^0 is not a cvec letter of rank 2$"):
+        Word(CVEC, 2, (1, 0))
+    with pytest.raises(ValueError, match=r"^3 is not a bvec letter of rank 2$"):
+        Word(BVEC, 2, (3,))
+    with pytest.raises(ValueError, match=r"^\(1,\) is not a spin letter of rank 2$"):
+        Word(SPIN, 2, ((1,),))
+
+
 def test_boundary_constructors_validate():
     """Every way in from outside still rejects a bad step sequence with validation's message."""
     from crystalchords.growth import InvalidOutput, growth_inverse

@@ -204,19 +204,32 @@ def test_promotion_grid_matches_local_rule_sweep(family, rmax, nmax):
                 assert orbit_rows(t) == oracles.promotion_grid(t).rows
 
 
-def test_sweep_checks_every_new_step():
-    """The sweep raises validation's message on a step its family forbids."""
-    from crystalchords.promotion import _sweep
+def _walk(family, steps):
+    """Padded steps and fills of one promotion row over padded steps, on a fresh table."""
+    from crystalchords.promotion import _LocalRule, _promote_row
 
-    row, vecs = _sweep([(0,), (1,), (0,)], OSCILLATING)
-    assert row == [(0,), (1,), (0,)] and vecs == [(-1,)]
+    rule = _LocalRule(family, len(steps[0]))
+    word = rule.word(steps)
+    row, _ = _promote_row(rule, word)
+    s, fills = rule.zero, []
+    for a in word[1:]:
+        s, _, f = s[a]
+        fills.append(f)
+    return row, fills
+
+
+def test_sweep_checks_every_new_step():
+    """The table raises validation's message on a step its family forbids."""
+    row, fills = _walk(OSCILLATING, [(0,), (1,), (0,)])
+    # kappa + nu - lambda = (-1,): one negative entry
+    assert row == [(0,), (1,), (0,)] and fills == [1]
     with pytest.raises(ValueError, match=r"^oscillating step \(\) -> \(2,\) must add or remove one box$"):
-        _sweep([(0,), (2,), (0,)], OSCILLATING)
+        _walk(OSCILLATING, [(0,), (2,), (0,)])
     # the last step, into the empty partition, is checked too
     with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
-        _sweep([(0,), (1,), (2,), (3,)], OSCILLATING)
+        _walk(OSCILLATING, [(0,), (1,), (2,), (3,)])
     with pytest.raises(ValueError, match=r"^fan step \(\) -> \(2,\) must change every part by one$"):
-        _sweep([(0,), (1,), (3,), (0,)], FAN)
+        _walk(FAN, [(0,), (1,), (3,), (0,)])
 
 
 def test_chord_matrix_requires_weight_zero():
@@ -236,30 +249,126 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("family", [OSCILLATING, FAN])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_sweep_step_test_matches_check_step(family, r):
-    """The sweep's move test accepts exactly check_step's pairs, with its message.
+    """The table accepts exactly check_step's pairs, with its message.
 
-    The sweep starts its row at prev[0], so over [a, a, b] it forms the
-    single step a -> b, then b -> a, which both families accept iff they
-    accept a -> b.
+    From state a the letter b - a gives kappa + nu - lambda = b, so the
+    entry is the step a -> b; the exit from a is the step a -> ().
     """
     from crystalchords.crystals import check_step
-    from crystalchords.promotion import _sweep
+    from crystalchords.promotion import _LocalRule
     from crystalchords.weights import pad
 
     box = [pad(p, r) for p in oracles.box_partitions(r, 3)]
+    rule = _LocalRule(family, r)
+    zero = (0,) * r
     accepted = 0
     for a in box:
+        s = rule.state(a)
+        assert _outcome(rule.exit, s) == _outcome(check_step, family, a, zero), a
         for b in box:
             want = _outcome(check_step, family, a, b)
-            assert _outcome(_sweep, [a, a, b], family) == want, (a, b)
+            d = rule.letter(tuple(y - x for x, y in zip(a, b)))
+            assert _outcome(s.__getitem__, d) == want, (a, b)
             if want is None:
-                assert _sweep([a, a, b], family)[0] == [a, b, a]
+                nxt, out, _ = s[d]
+                assert nxt.parts == b and out == d
                 accepted += 1
                 # a step that moves nothing is caught even when the steps after it are
-                # good: over [a, a, a, b] the sweep forms a -> a -> b -> a
+                # good: the zero letter from a forms a -> a
                 stay = _outcome(check_step, family, a, a)
-                assert stay is not None and _outcome(_sweep, [a, a, a, b], family) == stay
+                assert stay is not None and _outcome(s.__getitem__, rule.letter(zero)) == stay
     assert accepted > 0
+
+
+def test_forbidden_transition_raises_every_time():
+    """A forbidden entry is never stored: its second encounter raises the first one's message."""
+    from crystalchords.promotion import _LocalRule, _promote_row
+
+    rule = _LocalRule(OSCILLATING, 2)
+    s, a = rule.state((1, 1)), rule.letter((1, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^oscillating step \(1, 1\) -> \(2, 2\) must add or remove one box$"):
+            s[a]
+        assert a not in s
+    bad_exit = rule.state((2, 0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
+            rule.exit(bad_exit)
+        assert bad_exit.exit_letter is None
+    word = rule.word([(0, 0), (1, 0), (2, 0), (3, 0)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
+            _promote_row(rule, word)
+
+
+def test_fan_and_oscillating_tables_share_no_entry():
+    """A vector pair stored by one family's table is still judged by the other's rule."""
+    from crystalchords.promotion import _local_rule
+
+    fan, osc = _local_rule(FAN, 2), _local_rule(OSCILLATING, 2)
+    assert fan is not osc and _local_rule(FAN, 2) is fan
+    # (1, 1) + (-1, -1) = (): a fan step, no oscillating one
+    nxt, _, fill = fan.state((1, 1))[fan.letter((-1, -1))]
+    assert nxt.parts == (0, 0) and fill == 0
+    with pytest.raises(ValueError, match=r"^oscillating step \(1, 1\) -> \(\) must add or remove one box$"):
+        osc.state((1, 1))[osc.letter((-1, -1))]
+    # (1, 0) + (0, 1) = (1, 1): an oscillating step, no fan one
+    nxt, _, fill = osc.state((1, 0))[osc.letter((0, 1))]
+    assert nxt.parts == (1, 1) and fill == 0
+    with pytest.raises(ValueError, match=r"^fan step \(1,\) -> \(1, 1\) must change every part by one$"):
+        fan.state((1, 0))[fan.letter((0, 1))]
+
+
+def _pin_table(t, fill_rule):
+    """Walk every row of t's promotion matrix through the shared table, cell by cell,
+    against oracles.local_rule and oracles.fill_value; returns the cells checked."""
+    from crystalchords.promotion import _local_rule
+    from crystalchords.weights import pad
+
+    n, r = len(t), t.rank
+    rule = _local_rule(t.family, r)
+    prev = t.steps
+    word = rule.word([pad(p, r) for p in prev])
+    cells = 0
+    for _ in range(n):
+        new = oracles.promote_steps(prev, r)
+        s, out = rule.zero, []
+        for k in range(1, n):
+            lam, kap, nu = pad(prev[k], r), pad(new[k - 1], r), pad(prev[k + 1], r)
+            assert s.parts == kap
+            s, b, f = s[word[k]]
+            assert s.parts == pad(local_rule(lam, kap, nu), r), (t, lam, kap, nu)
+            assert f == fill_value(fill_rule, lam, kap, nu), (t, lam, kap, nu)
+            out.append(b)
+            cells += 1
+        out.append(rule.exit(s))
+        # the diagonal cell: lambda empty, kappa the last inner step, nu the first
+        assert s[word[0]][2] == fill_value(fill_rule, (), new[n - 1], prev[1]), t
+        word, prev = out, new
+        assert word == rule.word([pad(p, r) for p in prev]), t
+    return cells
+
+
+@pytest.mark.parametrize("family,rule,rmax,nmax", [(OSCILLATING, "osc", 3, 8), (FAN, "fan", 3, 8)])
+def test_table_matches_local_rule_and_fill(family, rule, rmax, nmax):
+    cells = 0
+    for r in range(1, rmax + 1):
+        for n in range(nmax + 1):
+            for t in enumerate_zero(family, r, n):
+                cells += _pin_table(t, rule)
+    assert cells > 1000
+
+
+def test_table_matches_local_rule_and_fill_through_both_embeddings():
+    from crystalchords.virtual import iota_v_to_f, iota_v_to_o
+
+    cells = 0
+    for r in range(1, 4):
+        for n in range(8):
+            for t in enumerate_zero(VACILLATING, r, n):
+                cells += _pin_table(iota_v_to_o(t), "osc")
+                cells += _pin_table(iota_v_to_f(t), "fan")
+    assert cells > 1000
 
 
 def test_vacillating_promote_matches_embedding_round_trip():
@@ -302,7 +411,7 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
         iota_v_to_o_inverse(tableau(OSCILLATING, 2, forged))
     t = tableau(VACILLATING, 2, steps)
     row = [pad(p, 2) for p in forged]
-    monkeypatch.setattr(promotion, "_sweep", lambda prev, family: (row, []))
+    monkeypatch.setattr(promotion, "_promote_row", lambda rule, word: (row, []))
     with pytest.raises(NotInImage) as got:
         promote(t)
     assert str(got.value) == str(want.value)
