@@ -11,21 +11,37 @@ with a non-negative filling m.  Forward rules compute beta from
 fillings where adjacent labels differ by at most a box, "burge" for
 vertical-strip labellings and "rsk" for horizontal-strip labellings.
 Only the public cell_forward/cell_backward canonicalise corners, check the
-filling and look up a rule by name; a sweep looks its rule up once and
-trusts the canonical corners it builds.  Every local rule still checks its
-corners and filling.  The Burge and RSK rules pad their corners once and
-test the strip condition row by row in the same pass that runs the carry;
-the 0/1 rules work on the canonical tuples without padding or trimming.
+filling and look up a rule by name, and they always call the raw rule.  The
+Burge and RSK rules pad their corners once and test the strip condition row
+by row in the same pass that runs the carry; the 0/1 rules work on the
+canonical tuples without padding or trimming.
+
+The sweeps run on one lazily filled table per rule set and direction
+(``_TABLES``): backward maps (beta, delta, alpha) to (gamma, m), forward maps
+(gamma, delta, alpha, m) to beta.  Corners are canonical partitions, so a
+key needs no rank.  A missing key calls the raw rule, and only a value the
+rule returned is stored: every adjacency, strip and filling check still runs
+once on each distinct cell, and a rejected cell is never stored, so it
+raises the rule's message every time it is met.  The tables memoise the
+local rules only and share nothing with the promotion route.
 
 Triangular diagrams use corners alpha[i][j] for 0 <= j <= i <= n laid out
 with the hypotenuse alpha[k][k] on the main diagonal (row index growing
 downwards), the left column alpha[i][0] and bottom row alpha[n][j] empty,
 and cell (i, j), 1 <= j < i <= n, having NW = alpha[i-1][j-1],
 NE = alpha[i-1][j], SW = alpha[i][j-1], SE = alpha[i][j].  In the cell
-labelling above this reads alpha=NW, beta=NE, gamma=SW, delta=SE.
+labelling above this reads alpha=NW, beta=NE, gamma=SW, delta=SE.  The
+sweeps hold the corners as diagonal lists: diagonal d lists alpha[j+d][j]
+for j = 0..n-d, so cell (j+d, j) reads beta from diagonal d-1 at j, delta
+and alpha from diagonal d at j and j-1, and gamma from diagonal d+1 at j-1.
+The backward sweep builds diagonal d+1 from diagonals d-1 and d; the forward
+sweep builds diagonal d-1 from diagonals d and d+1.
 """
 
 from __future__ import annotations
+
+from itertools import count
+from operator import getitem
 
 from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq
 from .weights import Partition, partition
@@ -263,62 +279,79 @@ _RULES = {
 _FAMILY_RULE = {OSCILLATING: "zero_one", FAN: "burge", VACILLATING: "rsk"}
 
 
-def _seed_corners(t: TableauSeq) -> dict[tuple[int, int], Partition]:
+class _RuleTable(dict):
+    """One direction of a local rule, memoised on its arguments.
+
+    A missing key calls the rule and stores what it returns; a rule that
+    raises leaves no entry.
+    """
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, key):
+        value = self[key] = self.rule(*key)
+        return value
+
+
+# rule name -> (forward, backward) tables, filled as the sweeps meet new cells
+_TABLES = {
+    name: (_RuleTable(forward), _RuleTable(backward))
+    for name, (forward, backward) in _RULES.items()
+}
+
+
+def _seed_diagonals(t: TableauSeq) -> tuple[list[Partition], list[Partition]]:
     """Hypotenuse and first subdiagonal labels of the triangular diagram."""
-    n = len(t)
-    corners: dict[tuple[int, int], Partition] = {}
-    double = t.family == VACILLATING
-    for k, mu in enumerate(t.steps):
-        corners[(k, k)] = tuple(2 * x for x in mu) if double else mu
-    for k in range(n):
-        p, q = t.steps[k], t.steps[k + 1]
-        if t.family == VACILLATING:
-            if p == q:
-                sub = _remove_box(tuple(2 * x for x in p), len(p))
-            else:
-                sub = tuple(2 * x for x in _meet(p, q))
-        else:
-            sub = _meet(p, q)
-        corners[(k + 1, k)] = sub
-    return corners
+    steps = t.steps
+    if t.family != VACILLATING:
+        return list(steps), [_meet(p, q) for p, q in zip(steps, steps[1:])]
+    hypotenuse = [tuple(2 * x for x in mu) for mu in steps]
+    sub = [
+        _remove_box(a, len(a)) if p == q else _meet(a, b)
+        for p, q, a, b in zip(steps, steps[1:], hypotenuse, hypotenuse[1:])
+    ]
+    return hypotenuse, sub
 
 
-def _backward_sweep(t: TableauSeq):
-    """Solve every cell by increasing diagonal distance; corners and fillings."""
+def _backward_sweep(t: TableauSeq) -> tuple[list[list[Partition]], list[list[int]]]:
+    """Solve every cell by increasing diagonal; the diagonals and the symmetric filling."""
     if t.weight != ():
         raise ValueError("growth diagrams require weight zero")
-    backward = _RULES[_FAMILY_RULE[t.family]][1]
+    backward = _TABLES[_FAMILY_RULE[t.family]][1]
     n = len(t)
-    corners = _seed_corners(t)
-    fill: dict[tuple[int, int], int] = {}
+    rows = [[0] * n for _ in range(n)]
+    diagonals = list(_seed_diagonals(t))
+    upper, cur = diagonals
     for d in range(1, n):
-        for i in range(d + 1, n + 1):
-            j = i - d
-            beta = corners[(i - 1, j)]
-            delta = corners[(i, j)]
-            alpha = corners[(i - 1, j - 1)]
-            gamma, m = backward(beta, delta, alpha)
-            corners[(i, j - 1)] = gamma
-            fill[(i, j)] = m
-    return corners, fill
+        nxt = []
+        push = nxt.append
+        # cell (j + d + 1, j + 1): beta, delta, alpha
+        for j, key in enumerate(zip(upper[1:], cur[1:], cur)):
+            gamma, m = backward[key]
+            push(gamma)
+            if m:
+                rows[j + d][j] = rows[j][j + d] = m
+        diagonals.append(nxt)
+        upper, cur = cur, nxt
+    return diagonals, rows
 
 
 def growth_corners(t: TableauSeq) -> dict[tuple[int, int], Partition]:
     """All corner labels of the triangular growth diagram of a weight-zero tableau."""
-    return _backward_sweep(t)[0]
+    diagonals, _ = _backward_sweep(t)
+    return {(j + d, j): p for d, diagonal in enumerate(diagonals) for j, p in enumerate(diagonal)}
 
 
 def growth_matrix(family: str, t: TableauSeq) -> Matrix:
     """Symmetric chord matrix read off a backward growth sweep."""
     if t.family != family:
         raise ValueError(f"expected a {family} tableau")
-    n = len(t)
-    _, cells = _backward_sweep(t)
-    fill = [[0] * n for _ in range(n)]
-    for (i, j), m in cells.items():
-        fill[i - 1][j - 1] = m
-        fill[j - 1][i - 1] = m
-    return tuple(tuple(row) for row in fill)
+    _, rows = _backward_sweep(t)
+    return tuple(map(tuple, rows))
 
 
 def lower_triangle_rows(m: Matrix) -> list[list[int]]:
@@ -329,30 +362,36 @@ def lower_triangle_rows(m: Matrix) -> list[list[int]]:
 def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> TableauSeq:
     """Forward sweep of a triangular filling; the hypotenuse read as a tableau.
 
-    Raises :class:`InvalidOutput` when the hypotenuse is not a valid
-    weight-zero member of the family (the filling lies outside the image).
+    Raises :class:`InvalidOutput`, with the rule's message, when a local rule
+    rejects a cell, and when the hypotenuse is not a valid weight-zero member
+    of the family: either way the filling lies outside the image.  A
+    malformed triangle or a rule that does not build the family is a
+    ``ValueError``, raised before the sweep starts.
     """
     if _FAMILY_RULE.get(family) != rule:
         raise ValueError(f"rule {rule!r} does not build {family} tableaux")
     for i, row in enumerate(triangle, start=1):
         if len(row) != i or not all(type(x) is int and x >= 0 for x in row):
             raise ValueError(f"triangle row {i} must hold {i} non-negative integers")
-    forward = _RULES[rule][0]
+    forward = _TABLES[rule][0]
     # an empty triangle encodes the empty tableau (length 1 has no weight-zero members)
     n = len(triangle) + 1 if triangle else 0
-    corners: dict[tuple[int, int], Partition] = {}
-    for i in range(n + 1):
-        corners[(i, 0)] = ()
-        corners[(n, i)] = ()
-    for d in range(n - 1, 0, -1):
-        for i in range(n, d, -1):
-            j = i - d
-            gamma = corners[(i, j - 1)]
-            delta = corners[(i, j)]
-            alpha = corners[(i - 1, j - 1)]
-            m = triangle[i - 2][j - 1]
-            corners[(i - 1, j)] = forward(gamma, delta, alpha, m)
-    hypotenuse = [corners[(k, k)] for k in range(n + 1)]
+    # diagonals n + 1 and n; each new diagonal starts on the left column
+    # and ends on the bottom row, both empty
+    lower, cur = [], [()]
+    try:
+        for d in range(n, 0, -1):
+            nxt = [()]
+            push = nxt.append
+            # cell (j + d + 1, j + 1): gamma, delta, alpha and its filling give beta
+            fills = map(getitem, triangle[d - 1 :], count())
+            for key in zip(lower, cur[1:], cur, fills):
+                push(forward[key])
+            push(())
+            lower, cur = cur, nxt
+    except ValueError as exc:
+        raise InvalidOutput(str(exc)) from exc
+    hypotenuse = cur
     try:
         if family == VACILLATING:
             odd = [mu for mu in hypotenuse if any(x % 2 for x in mu)]

@@ -16,7 +16,7 @@ from functools import cache
 from operator import add, sub
 
 from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq, check_step
-from .virtual import NotInImage, _halve, _v_to_o_vectors, iota_v_to_f, iota_v_to_o
+from .virtual import NotInImage, _halve, _v_to_f_vectors, _v_to_o_vectors
 from .weights import WeightVec, pad, trim
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -157,37 +157,43 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
 
     ``M_VO`` and ``M_VF`` sum the 2x2 blocks of the promotion matrix of the
     embedding; the doubled-length fan filling puts 2(r-1) in every diagonal
-    block of ``M_VF``, which is taken off.
+    block of ``M_VF``, which is taken off.  Each runs on its own embedding,
+    built on the padded steps of the already validated tableau.
     """
     family = CHORD_MAPS.get(tag)
     if family is None:
         raise ValueError(f"unknown chord map {tag!r}")
     if t.family != family:
         raise ValueError(f"{tag} expects the {family} family, got {t.family}")
+    if t.weight != ():
+        raise ValueError("promotion requires weight zero")
+    r = t.rank
+    steps = [pad(p, r) for p in t.steps]
     if family != VACILLATING:
-        return _promotion_fill(t)
+        return _promotion_fill(family, r, steps)
     if tag == "M_VO":
-        return _promotion_fill(iota_v_to_o(t), 2)
-    return _promotion_fill(iota_v_to_f(t), 2, 2 * (t.rank - 1))
+        return _promotion_fill(OSCILLATING, r, _v_to_o_vectors(steps), 2)
+    return _promotion_fill(FAN, r, _v_to_f_vectors(steps), 2, 2 * (r - 1))
 
 
-def _promotion_fill(t: TableauSeq, block: int = 1, shift: int = 0) -> Matrix:
+def _promotion_fill(
+    family: str, rank: int, steps: list[WeightVec], block: int = 1, shift: int = 0
+) -> Matrix:
     """Filling of the promotion matrix, cell (i, j) read off the sweep making pr^(i+1)(T).
 
-    For k = j - i mod n in 1..n-1 the cell is the table entry met at
+    ``steps`` are the steps of a weight-zero tableau of ``family``, padded to
+    ``rank``.  For k = j - i mod n in 1..n-1 the cell is the table entry met at
     position k of row i.  On the diagonal lambda is empty, kappa the last
     inner step of pr^(i+1)(T) and nu the first step of pr^i(T); both are the
     one partition a step away from empty, so that cell is a table entry too.
     Each fill is added into its ``block`` x ``block`` block of the result,
     whose diagonal starts at ``-shift``.
     """
-    n = len(t)
+    n = len(steps) - 1
     if n == 0:
         return ()
-    if t.weight != ():
-        raise ValueError("promotion requires weight zero")
-    rule = _local_rule(t.family, t.rank)
-    word = rule.word([pad(p, t.rank) for p in t.steps])
+    rule = _local_rule(family, rank)
+    word = rule.word(steps)
     zero, leave = rule.zero, rule.exit
     m = n // block
     out = [[0] * m for _ in range(m)]

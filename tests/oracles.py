@@ -19,6 +19,7 @@ from crystalchords.crystals import (
     OSCILLATING,
     RAISE,
     SPIN,
+    VACILLATING,
     TableauSeq,
     Word,
     apply_letter_op,
@@ -27,7 +28,7 @@ from crystalchords.crystals import (
     prefix_weights,
     tensor_apply,
 )
-from crystalchords.growth import Matrix, blocksum
+from crystalchords.growth import _FAMILY_RULE, _RULES, Matrix, _meet, _remove_box, blocksum
 from crystalchords.sieving import Poly, poly_trim
 from crystalchords.virtual import (
     iota_v_to_f,
@@ -445,6 +446,80 @@ def bvec_word_image(w: Word) -> Word:
 
 
 # ------------------------------------------------------------ growth and sieving
+
+
+def growth_sweep_by_cells(t: TableauSeq):
+    """Corners and fillings of the triangular growth diagram, cell by cell.
+
+    Corners live in a dict keyed by (i, j), seeded on the hypotenuse (i, i)
+    and the first subdiagonal (i + 1, i); every cell (i, j) is solved by a
+    fresh call of the raw backward rule, by increasing diagonal distance.
+    Returns (corners, {(i, j): filling}).
+    """
+    if t.weight != ():
+        raise ValueError("growth diagrams require weight zero")
+    backward = _RULES[_FAMILY_RULE[t.family]][1]
+    n = len(t)
+    double = t.family == VACILLATING
+    corners: dict[tuple[int, int], Partition] = {}
+    for k, mu in enumerate(t.steps):
+        corners[(k, k)] = tuple(2 * x for x in mu) if double else mu
+    for k in range(n):
+        p, q = t.steps[k], t.steps[k + 1]
+        if double:
+            if p == q:
+                sub = _remove_box(tuple(2 * x for x in p), len(p))
+            else:
+                sub = tuple(2 * x for x in _meet(p, q))
+        else:
+            sub = _meet(p, q)
+        corners[(k + 1, k)] = sub
+    fill: dict[tuple[int, int], int] = {}
+    for d in range(1, n):
+        for i in range(d + 1, n + 1):
+            j = i - d
+            gamma, m = backward(corners[(i - 1, j)], corners[(i, j)], corners[(i - 1, j - 1)])
+            corners[(i, j - 1)] = gamma
+            fill[(i, j)] = m
+    return corners, fill
+
+
+def perfect_matchings(points: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
+    """Every perfect matching of the points, as chords (a, b) with a < b."""
+    if not points:
+        yield []
+        return
+    a, rest = points[0], points[1:]
+    for k, b in enumerate(rest):
+        for chords in perfect_matchings(rest[:k] + rest[k + 1 :]):
+            yield [(a, b)] + chords
+
+
+def matrix_chords(m: Matrix) -> list[tuple[int, int]] | None:
+    """The chords of a 0/1 symmetric matrix with zero diagonal and one 1 in each row, else None."""
+    n = len(m)
+    if any(m[i][j] != m[j][i] or m[i][j] not in (0, 1) for i in range(n) for j in range(n)):
+        return None
+    if any(m[i][i] or sum(m[i]) != 1 for i in range(n)):
+        return None
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]]
+
+
+def max_crossing(chords: Sequence[tuple[int, int]]) -> int:
+    """The most chords that cross pairwise; (a, b) and (c, d) cross when a < c < b < d."""
+
+    def cross(x, y):
+        (a, b), (c, d) = sorted((x, y))
+        return a < c < b < d
+
+    best = min(len(chords), 1)
+    for k in range(2, len(chords) + 1):
+        if any(
+            all(cross(x, y) for x, y in itertools.combinations(subset, 2))
+            for subset in itertools.combinations(chords, k)
+        ):
+            best = k
+    return best
 
 
 def matrix_from_triangle(rows: list[list[int]]) -> Matrix:

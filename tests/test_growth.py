@@ -503,3 +503,94 @@ def test_backward_carry_reports_strips_before_gamma():
             assert _outcome(backward, p, q, s) == want, (rule, p, q, s)
             gamma_errors += isinstance(want[0], type) and want[1].startswith("no valid")
     assert gamma_errors
+
+
+# ----------------------------------------------------- memoised tables
+
+
+@pytest.mark.parametrize(
+    "family, rmax, lengths",
+    [(OSCILLATING, 3, range(0, 9, 2)), (FAN, 3, range(0, 7, 2)), (VACILLATING, 3, range(8))],
+    ids=["osc", "fan", "vac"],
+)
+def test_growth_corners_match_the_cell_by_cell_sweep(family, rmax, lengths):
+    from oracles import growth_sweep_by_cells
+
+    count = 0
+    for r in range(1, rmax + 1):
+        for n in lengths:
+            for t in enumerate_zero(family, r, n):
+                corners, fill = growth_sweep_by_cells(t)
+                assert growth_corners(t) == corners, t
+                rows = [[0] * n for _ in range(n)]
+                for (i, j), m in fill.items():
+                    rows[i - 1][j - 1] = rows[j - 1][i - 1] = m
+                assert growth_matrix(family, t) == tuple(map(tuple, rows)), t
+                count += 1
+    assert count > 50
+
+
+def test_growth_table_entries_equal_the_raw_rules():
+    """After sweeps in both directions, every stored entry is what a fresh call
+    of the raw rule returns on its key."""
+    from crystalchords.growth import _FAMILY_RULE, _RULES, _TABLES
+
+    for family, r, n in ((OSCILLATING, 3, 8), (FAN, 3, 6), (VACILLATING, 2, 6)):
+        rule = _FAMILY_RULE[family]
+        for t in enumerate_zero(family, r, n):
+            growth_inverse(rule, lower_triangle_rows(growth_matrix(family, t)), family)
+    for name, (forward, backward) in _TABLES.items():
+        raw_forward, raw_backward = _RULES[name]
+        assert forward and backward, name
+        for key, beta in forward.items():
+            assert len(key) == 4 and type(key[3]) is int, (name, key)
+            assert raw_forward(*key) == beta, (name, key)
+        for key, value in backward.items():
+            assert raw_backward(*key) == value, (name, key)
+
+
+def test_rejected_growth_cell_raises_every_time_and_is_never_stored():
+    from crystalchords.growth import _TABLES
+
+    cases = [
+        (_TABLES["zero_one"][0], ((), (1,), (), 1), "a 1 requires equal gamma, delta, alpha"),
+        (_TABLES["zero_one"][0], ((), (), (), 2), "zero_one filling must be 0 or 1"),
+        (
+            _TABLES["zero_one"][1],
+            ((2,), (), ()),
+            "zero_one cell: () -> (2,) must be equal or add one box",
+        ),
+        (_TABLES["burge"][1], ((2,), (), ()), "burge cell needs vertical strips under beta"),
+        (_TABLES["burge"][0], ((), (2,), (), 0), "burge cell needs vertical strips over gamma"),
+        (_TABLES["rsk"][1], ((1, 1), (), ()), "rsk cell needs horizontal strips under beta"),
+        (_TABLES["rsk"][0], ((), (1, 1), (), 0), "rsk cell needs horizontal strips over gamma"),
+    ]
+    for table, key, message in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                table[key]
+            assert str(info.value) == message
+            assert key not in table
+    # the same cell met inside a forward sweep, twice
+    for _ in range(2):
+        with pytest.raises(InvalidOutput) as info:
+            growth_inverse("zero_one", [[1], [1, 0]], OSCILLATING)
+        assert str(info.value) == "a 1 requires equal gamma, delta, alpha"
+        assert ((), (1,), (), 1) not in _TABLES["zero_one"][0]
+
+
+@pytest.mark.parametrize(
+    "triangle, message",
+    [
+        ([[1], [1, 0]], "a 1 requires equal gamma, delta, alpha"),
+        ([[0], [0, 2]], "zero_one filling must be 0 or 1"),
+        ([[0], [0, 0]], "oscillating step () -> () must add or remove one box"),
+    ],
+)
+def test_growth_inverse_reports_rejected_cells_as_invalid_output(triangle, message):
+    """A well-formed triangle outside the image is InvalidOutput, whether a local
+    rule rejects a cell or the hypotenuse is not a tableau; same message."""
+    with pytest.raises(InvalidOutput) as info:
+        growth_inverse("zero_one", triangle, OSCILLATING)
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, ValueError)

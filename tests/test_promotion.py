@@ -415,3 +415,59 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
     with pytest.raises(NotInImage) as got:
         promote(t)
     assert str(got.value) == str(want.value)
+
+
+def test_vacillating_chord_maps_build_no_validating_embedding(monkeypatch):
+    """M_VO and M_VF run on the padded embeddings of the validated input; the
+    public embeddings, which validate, are never called."""
+    from crystalchords import virtual
+
+    cases = [
+        (tag, t, oracles.chord_matrix(tag, t))
+        for r in (1, 2, 3)
+        for n in range(7)
+        for t in enumerate_zero(VACILLATING, r, n)
+        for tag in ("M_VO", "M_VF")
+    ]
+    assert len(cases) > 100
+
+    def forbidden(*args):
+        raise AssertionError("a chord map built a validating embedding")
+
+    monkeypatch.setattr(virtual, "_vac_embedding", forbidden)
+    for tag, t, want in cases:
+        assert chord_matrix(tag, t) == want, (tag, t)
+    with pytest.raises(ValueError, match="^promotion requires weight zero$"):
+        chord_matrix("M_VO", tableau(VACILLATING, 1, [(), (1,)]))
+
+
+def test_oscillating_chord_map_is_onto_the_3_noncrossing_matchings():
+    """M_O on osc r = 2 is one-to-one into the perfect matchings with no three
+    mutually crossing chords, and the listing is as large as that set, so M_O
+    is onto it (Chen, Deng, Du, Stanley and Yan, Trans. AMS 2007)."""
+    a005700 = [1, 1, 3, 14, 84, 594]
+    for k, n in enumerate(range(0, 11, 2)):
+        listing = enumerate_zero(OSCILLATING, 2, n)
+        assert len(listing) == a005700[k]
+        images = set()
+        for t in listing:
+            chords = oracles.matrix_chords(chord_matrix("M_O", t))
+            assert chords is not None, t
+            assert oracles.max_crossing(chords) <= 2, t
+            images.add(tuple(chords))
+        assert len(images) == len(listing)
+        matchings = oracles.perfect_matchings(list(range(n)))
+        assert len(images) == sum(oracles.max_crossing(c) <= 2 for c in matchings)
+
+
+def test_crossing_oracles():
+    assert oracles.max_crossing([]) == 0
+    assert oracles.max_crossing([(0, 1), (2, 3)]) == 1
+    assert oracles.max_crossing([(0, 2), (1, 3)]) == 2
+    assert oracles.max_crossing([(0, 3), (1, 4), (2, 5)]) == 3
+    assert oracles.max_crossing([(0, 5), (1, 4), (2, 3)]) == 1  # nesting
+    assert oracles.matrix_chords(((0, 1), (1, 0))) == [(0, 1)]
+    assert oracles.matrix_chords(((0, 2), (2, 0))) is None
+    assert oracles.matrix_chords(((1, 0), (0, 1))) is None
+    sizes = [len(list(oracles.perfect_matchings(list(range(n))))) for n in (0, 2, 4, 6)]
+    assert sizes == [1, 1, 3, 15]
