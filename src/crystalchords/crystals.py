@@ -12,6 +12,12 @@ Factor-order convention (the single point of truth): a :class:`Word` stores
 of the element ``u_n (x) ... (x) u_1``, bracketed left-associatively as
 ``(((u_n (x) u_{n-1}) (x) ...) (x) u_1)``.  Every operation stated on tensor
 products is re-indexed here and nowhere else.
+
+Highest weight is decided by the step rule: a word is highest weight exactly
+when its prefix weights form a tableau of the family, which
+:func:`word_to_tableau` checks in one pass.  The crystal operators e_i and
+f_i, which define highest weight, follow the same factor order and live in
+``tests/oracles.py`` as the definition the tests hold this rule to.
 """
 
 from __future__ import annotations
@@ -35,9 +41,6 @@ FAMILIES = (OSCILLATING, FAN, VACILLATING)
 # crystal whose highest weight words of weight zero the family encodes
 FAMILY_KIND = {OSCILLATING: CVEC, FAN: SPIN, VACILLATING: BVEC}
 
-RAISE = "raise"
-LOWER = "lower"
-
 
 def letters(kind: str, r: int) -> tuple:
     """All letters of the crystal; vector kinds in increasing letter order."""
@@ -56,6 +59,15 @@ def letters(kind: str, r: int) -> tuple:
 def cvec_order(x: int, r: int) -> int:
     """Position of a C-letter in the order 1 < ... < r < -r < ... < -1 of :func:`letters`."""
     return x if x > 0 else 2 * r + 1 + x
+
+
+def bvec_order(x: int, r: int) -> int:
+    """Position of a B-letter in the order 1 < ... < r < 0 < -r < ... < -1 of :func:`letters`."""
+    if x > 0:
+        return x
+    if x == 0:
+        return r + 1
+    return 2 * r + 2 + x
 
 
 def is_letter(kind: str, r: int, x) -> bool:
@@ -78,65 +90,6 @@ def letter_weight(kind: str, r: int, x) -> WeightVec:
     if x:
         out[abs(x) - 1] = 1 if x > 0 else -1
     return tuple(out)
-
-
-def apply_letter_op(kind: str, r: int, i: int, direction: str, x):
-    """Apply e_i (raise) or f_i (lower) to a single letter; None if annihilated."""
-    if not 1 <= i <= r:
-        raise ValueError(f"operator index {i} out of range 1..{r}")
-    if direction not in (RAISE, LOWER):
-        raise ValueError(f"direction must be {RAISE!r} or {LOWER!r}")
-    lower = direction == LOWER
-
-    if kind == SPIN:
-        if i == r:
-            want = 1 if lower else -1
-            if x[r - 1] == want:
-                return x[: r - 1] + (-want,)
-            return None
-        want = (1, -1) if lower else (-1, 1)
-        if (x[i - 1], x[i]) == want:
-            return x[: i - 1] + (want[1], want[0]) + x[i + 1 :]
-        return None
-
-    # vector crystals: f_i sends i -> i+1 and -(i+1) -> -i, e_i is inverse
-    if i < r:
-        if lower:
-            if x == i:
-                return i + 1
-            if x == -(i + 1):
-                return -i
-        else:
-            if x == i + 1:
-                return i
-            if x == -i:
-                return -(i + 1)
-        return None
-    if kind == CVEC:
-        if lower:
-            return -r if x == r else None
-        return r if x == -r else None
-    # bvec, i == r: f_r sends r -> 0 -> -r
-    if lower:
-        if x == r:
-            return 0
-        if x == 0:
-            return -r
-    else:
-        if x == -r:
-            return 0
-        if x == 0:
-            return r
-    return None
-
-
-def _letter_stat(kind: str, r: int, i: int, direction: str, x) -> int:
-    k = 0
-    while True:
-        x = apply_letter_op(kind, r, i, direction, x)
-        if x is None:
-            return k
-        k += 1
 
 
 @dataclass(frozen=True)
@@ -167,66 +120,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-
-def _suffix_stats(w: Word, i: int) -> list[tuple[int, int]]:
-    """(eps_i, phi_i) of the sub-tensor u_n (x) ... (x) u_k for k = 1..n.
-
-    Entry ``k - 1`` of the result belongs to the suffix starting at ``u_k``.
-    Uses eps(b(x)c) = eps(c) + max(0, eps(b) - phi(c)) and
-    phi(b(x)c) = phi(b) + max(0, phi(c) - eps(b)) with b the left part.
-    """
-    n = len(w)
-    stats: list[tuple[int, int]] = [(0, 0)] * n
-    eps = _letter_stat(w.kind, w.rank, i, RAISE, w.letters[n - 1])
-    phi = _letter_stat(w.kind, w.rank, i, LOWER, w.letters[n - 1])
-    stats[n - 1] = (eps, phi)
-    for k in range(n - 1, 0, -1):
-        c = w.letters[k - 1]
-        ec = _letter_stat(w.kind, w.rank, i, RAISE, c)
-        pc = _letter_stat(w.kind, w.rank, i, LOWER, c)
-        eb, pb = stats[k]
-        stats[k - 1] = (ec + max(0, eb - pc), pb + max(0, pc - eb))
-    return stats
-
-
-def tensor_apply(w: Word, i: int, direction: str) -> Word | None:
-    """Apply e_i or f_i to a word via the tensor product rule; None if annihilated.
-
-    f_i(b (x) c) acts on b iff phi_i(c) <= eps_i(b);
-    e_i(b (x) c) acts on b iff phi_i(c) < eps_i(b).
-    """
-    n = len(w)
-    if n == 0:
-        return None
-    stats = _suffix_stats(w, i)
-    k = 1
-    while k < n:
-        c = w.letters[k - 1]
-        pc = _letter_stat(w.kind, w.rank, i, LOWER, c)
-        eb = stats[k][0]
-        if (pc <= eb) if direction == LOWER else (pc < eb):
-            k += 1
-        else:
-            break
-    y = apply_letter_op(w.kind, w.rank, i, direction, w.letters[k - 1])
-    if y is None:
-        return None
-    new = w.letters[: k - 1] + (y,) + w.letters[k:]
-    return Word(w.kind, w.rank, new)
-
-
-def is_highest(w: Word) -> bool:
-    """True iff every raising operator annihilates the word."""
-    return all(tensor_apply(w, i, RAISE) is None for i in range(1, w.rank + 1))
-
-
-def prefix_weights(w: Word) -> list[WeightVec]:
-    """Partial weight sums over u_1..u_q for q = 0..n."""
-    out = [(0,) * w.rank]
-    for x in w.letters:
-        out.append(tuple(map(add, out[-1], letter_weight(w.kind, w.rank, x))))
-    return out
 
 
 @dataclass(frozen=True)
@@ -302,12 +195,36 @@ def check_step(family: str, a: WeightVec, b: WeightVec) -> None:
 
 
 def word_to_tableau(w: Word) -> TableauSeq:
-    """Partial weight sums of a highest weight word, as a tableau."""
-    if not is_highest(w):
-        raise ValueError("word is not highest weight")
-    family = {CVEC: OSCILLATING, SPIN: FAN, BVEC: VACILLATING}[w.kind]
-    steps = tuple(trim(mu) for mu in prefix_weights(w))
-    return TableauSeq(family, w.rank, steps)
+    """Partial weight sums of a highest weight word, as a tableau.
+
+    A word of these crystals is highest weight exactly when its prefix
+    weights are partitions and each of its steps is a step of the family
+    (the signature rule), so one pass of :func:`check_step` decides it.
+    """
+    family = next(f for f, kind in FAMILY_KIND.items() if kind == w.kind)
+    a = (0,) * w.rank
+    steps = [()]
+    for x in w.letters:
+        b = tuple(map(add, a, letter_weight(w.kind, w.rank, x)))
+        if not is_partition(b):
+            raise ValueError(f"word is not highest weight: prefix weight {b} is not a partition")
+        try:
+            check_step(family, a, b)
+        except ValueError as exc:
+            raise ValueError(f"word is not highest weight: {exc}") from exc
+        steps.append(trim(b))
+        a = b
+    # every step has just been checked
+    return TableauSeq._trusted(family, w.rank, tuple(steps))
+
+
+def is_highest(w: Word) -> bool:
+    """True iff every raising operator annihilates the word (see :func:`word_to_tableau`)."""
+    try:
+        word_to_tableau(w)
+    except ValueError:
+        return False
+    return True
 
 
 def tableau_to_word(t: TableauSeq) -> Word:

@@ -1,17 +1,17 @@
-"""JSON and compact-text forms for partitions, tableaux, words and matrices.
+"""JSON and compact-text forms for partitions, tableaux and matrices.
 
 Partitions serialize as integer arrays like ``[3, 2]``; the compact figure
 form ``"311"`` (single-digit parts, ``"000"`` for the empty partition) is
 accepted on input.  Tableaux accept the comma-separated compact form
-``"000,111,222"``.  Spin letters serialize as sign strings like ``"+-+"``,
-barred letters as negative integers and the zero letter as ``0``.
+``"000,111,222"``.  Matrices are written as arrays of rows and rendered as
+text or as chord lists; no command reads one back.
 """
 
 from __future__ import annotations
 
 import json
 
-from .crystals import SPIN, TableauSeq, Word
+from .crystals import TableauSeq
 from .weights import Partition, partition
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -51,41 +51,8 @@ def tableau_to_json(t: TableauSeq) -> dict:
     }
 
 
-def _letter_to_json(kind: str, x):
-    if kind == SPIN:
-        return "".join("+" if s == 1 else "-" for s in x)
-    return x
-
-
-def _letter_from_json(kind: str, value):
-    if kind == SPIN:
-        if not isinstance(value, str) or set(value) - {"+", "-"}:
-            raise ValueError(f"spin letter must be a sign string, got {value!r}")
-        return tuple(1 if ch == "+" else -1 for ch in value)
-    return int(value)
-
-
-def word_to_json(w: Word) -> dict:
-    return {
-        "kind": w.kind,
-        "r": w.rank,
-        "letters": [_letter_to_json(w.kind, x) for x in w.letters],
-    }
-
-
-def parse_word(value: dict) -> Word:
-    kind = value["kind"]
-    r = int(value["r"])
-    letters = tuple(_letter_from_json(kind, x) for x in value["letters"])
-    return Word(kind, r, letters)
-
-
 def matrix_to_json(m: Matrix) -> list[list[int]]:
     return [list(row) for row in m]
-
-
-def parse_matrix(value) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in value)
 
 
 def render_matrix(m: Matrix) -> str:

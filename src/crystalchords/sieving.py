@@ -26,25 +26,20 @@ from .crystals import (
     SPIN,
     TableauSeq,
     Word,
+    bvec_order,
     cvec_order,
     enumerate_zero,
-    is_highest,
     is_letter,
     tableau_to_word,
+    word_to_tableau,
 )
 from .promotion import promote
+from .weights import trim
 
 Poly = tuple[int, ...]
 
 
 # ---------------------------------------------------------------- polynomials
-
-
-def poly_trim(coeffs: Sequence[int]) -> Poly:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
 
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
@@ -55,15 +50,15 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> Poly:
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return poly_trim(out)
+    return trim(out)
 
 
 def poly_divexact(p: Sequence[int], q: Sequence[int]) -> Poly:
     """Exact division; raises if the remainder is nonzero."""
-    q = poly_trim(q)
+    q = trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(poly_trim(p))
+    rem = list(trim(p))
     out = [0] * max(0, len(rem) - len(q) + 1)
     while len(rem) >= len(q):
         lead, div = rem[-1], q[-1]
@@ -78,7 +73,7 @@ def poly_divexact(p: Sequence[int], q: Sequence[int]) -> Poly:
             rem.pop()
     if rem:
         raise ValueError("division is not exact")
-    return poly_trim(out)
+    return trim(out)
 
 
 def poly_mod_cyclic(p: Sequence[int], n: int) -> Poly:
@@ -88,7 +83,7 @@ def poly_mod_cyclic(p: Sequence[int], n: int) -> Poly:
     out = [0] * n
     for e, c in enumerate(p):
         out[e % n] += c
-    return poly_trim(out)
+    return trim(out)
 
 
 def q_int(m: int) -> Poly:
@@ -104,7 +99,7 @@ def poly_count(exponents: Iterable[int]) -> Poly:
 
 def poly_str(p: Sequence[int]) -> str:
     """Descending-power pretty form, e.g. 'q^4 + q^2 + 1'."""
-    p = poly_trim(p)
+    p = trim(p)
     if not p:
         return "0"
     terms = []
@@ -129,33 +124,24 @@ def poly_str(p: Sequence[int]) -> str:
 # -------------------------------------------------------------------- energy
 
 
-def _bvec_order(x: int, r: int) -> int:
-    if x > 0:
-        return x
-    if x == 0:
-        return r + 1
-    return 2 * r + 2 + x
-
-
 def local_energy(kind: str, r: int, a, b) -> int:
     """Local energy of the pair a (x) b (a the left factor)."""
+    for x in (a, b):
+        if not is_letter(kind, r, x):
+            raise ValueError(f"{x!r} is not a {kind} letter of rank {r}")
+    return _pair_energy(kind, r, a, b)
+
+
+def _pair_energy(kind: str, r: int, a, b) -> int:
+    """:func:`local_energy` of two letters of the crystal, unchecked."""
     if kind == CVEC:
         return 0 if cvec_order(a, r) <= cvec_order(b, r) else 1
     if kind == BVEC:
         if a == -1 and b == 1:
             return 2
-        if _bvec_order(a, r) <= _bvec_order(b, r) and not (a == 0 and b == 0):
+        if bvec_order(a, r) <= bvec_order(b, r) and not (a == 0 and b == 0):
             return 0
         return 1
-    if kind == SPIN:
-        return _spin_pair_energy(r, a, b)
-    raise ValueError(f"unknown crystal kind {kind!r}")
-
-
-def _spin_pair_energy(r: int, a, b) -> int:
-    for x in (a, b):
-        if not is_letter(SPIN, r, x):
-            raise ValueError(f"{x!r} is not a {SPIN} letter of rank {r}")
     k = excess = 0
     for x, y in zip(a, b):
         excess += (y - x) // 2
@@ -167,9 +153,10 @@ def _spin_pair_energy(r: int, a, b) -> int:
 def energy(w: Word) -> int:
     """Sum of i * H(b_i (x) b_{i+1}) with b_1 the leftmost tensor factor."""
     n = len(w)
-    # b_i = letters[n - i]: reading the tensor left to right
+    # b_i = letters[n - i]: reading the tensor left to right; a Word's letters
+    # were checked when it was built
     return sum(
-        i * local_energy(w.kind, w.rank, w.letters[n - i], w.letters[n - i - 1])
+        i * _pair_energy(w.kind, w.rank, w.letters[n - i], w.letters[n - i - 1])
         for i in range(1, n)
     )
 
@@ -225,13 +212,12 @@ def descent_major(w: Word) -> tuple[tuple[int, ...], int]:
     """
     if w.kind != BVEC:
         raise ValueError("descents are defined for bvec words")
-    if not is_highest(w):
-        raise ValueError("word is not highest weight")
+    word_to_tableau(w)  # raises unless w is highest weight
     r = w.rank
     descents = []
     for i in range(1, len(w)):
         u_i, u_next = w.letters[i - 1], w.letters[i]
-        if _bvec_order(u_next, r) <= _bvec_order(u_i, r):
+        if bvec_order(u_next, r) <= bvec_order(u_i, r):
             continue
         if u_i > 0 and u_next == -u_i:
             j = u_i
@@ -391,7 +377,7 @@ def csp_check(
     """Integer cyclic sieving test of the polynomial f against the action."""
     dec = orbit_decomposition(elements, order, action)
     expected = orbit_polynomial(dec.sizes, order)
-    residue = poly_mod_cyclic(f, order) if poly_trim(f) else ()
+    residue = poly_mod_cyclic(f, order) if trim(f) else ()
     holds = residue == expected
     first = None
     if not holds:

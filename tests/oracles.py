@@ -15,21 +15,16 @@ from crystalchords.crystals import (
     CVEC,
     FAMILIES,
     FAN,
-    LOWER,
     OSCILLATING,
-    RAISE,
     SPIN,
     VACILLATING,
     TableauSeq,
     Word,
-    apply_letter_op,
     letter_weight,
     letters,
-    prefix_weights,
-    tensor_apply,
 )
 from crystalchords.growth import _FAMILY_RULE, _RULES, Matrix, _meet, _remove_box, blocksum
-from crystalchords.sieving import Poly, poly_trim
+from crystalchords.sieving import Poly
 from crystalchords.virtual import (
     iota_v_to_f,
     iota_v_to_o,
@@ -303,13 +298,118 @@ def intersect_parts(p: Sequence[int], q: Sequence[int]) -> Partition:
 
 # ------------------------------------------------------------ crystals
 
+RAISE = "raise"
+LOWER = "lower"
+
+
+def apply_letter_op(kind: str, r: int, i: int, direction: str, x):
+    """Apply e_i (raise) or f_i (lower) to a single letter; None if annihilated."""
+    if not 1 <= i <= r:
+        raise ValueError(f"operator index {i} out of range 1..{r}")
+    if direction not in (RAISE, LOWER):
+        raise ValueError(f"direction must be {RAISE!r} or {LOWER!r}")
+    lower = direction == LOWER
+
+    if kind == SPIN:
+        if i == r:
+            want = 1 if lower else -1
+            if x[r - 1] == want:
+                return x[: r - 1] + (-want,)
+            return None
+        want = (1, -1) if lower else (-1, 1)
+        if (x[i - 1], x[i]) == want:
+            return x[: i - 1] + (want[1], want[0]) + x[i + 1 :]
+        return None
+
+    # vector crystals: f_i sends i -> i+1 and -(i+1) -> -i, e_i is inverse
+    if i < r:
+        if lower:
+            if x == i:
+                return i + 1
+            if x == -(i + 1):
+                return -i
+        else:
+            if x == i + 1:
+                return i
+            if x == -i:
+                return -(i + 1)
+        return None
+    if kind == CVEC:
+        if lower:
+            return -r if x == r else None
+        return r if x == -r else None
+    # bvec, i == r: f_r sends r -> 0 -> -r
+    if lower:
+        if x == r:
+            return 0
+        if x == 0:
+            return -r
+    else:
+        if x == -r:
+            return 0
+        if x == 0:
+            return r
+    return None
+
+
+def suffix_stats(w: Word, i: int) -> list[tuple[int, int]]:
+    """(eps_i, phi_i) of the sub-tensor u_n (x) ... (x) u_k for k = 1..n.
+
+    Entry ``k - 1`` of the result belongs to the suffix starting at ``u_k``.
+    Uses eps(b(x)c) = eps(c) + max(0, eps(b) - phi(c)) and
+    phi(b(x)c) = phi(b) + max(0, phi(c) - eps(b)) with b the left part.
+    """
+    n = len(w)
+    stats: list[tuple[int, int]] = [(0, 0)] * n
+    stats[n - 1] = string_stats(w.kind, w.rank, i, w.letters[n - 1])
+    for k in range(n - 1, 0, -1):
+        ec, pc = string_stats(w.kind, w.rank, i, w.letters[k - 1])
+        eb, pb = stats[k]
+        stats[k - 1] = (ec + max(0, eb - pc), pb + max(0, pc - eb))
+    return stats
+
+
+def tensor_apply(w: Word, i: int, direction: str) -> Word | None:
+    """Apply e_i or f_i to a word via the tensor product rule; None if annihilated.
+
+    f_i(b (x) c) acts on b iff phi_i(c) <= eps_i(b);
+    e_i(b (x) c) acts on b iff phi_i(c) < eps_i(b).
+    """
+    n = len(w)
+    if n == 0:
+        return None
+    stats = suffix_stats(w, i)
+    k = 1
+    while k < n:
+        pc = string_stats(w.kind, w.rank, i, w.letters[k - 1])[1]
+        eb = stats[k][0]
+        if (pc <= eb) if direction == LOWER else (pc < eb):
+            k += 1
+        else:
+            break
+    y = apply_letter_op(w.kind, w.rank, i, direction, w.letters[k - 1])
+    if y is None:
+        return None
+    new = w.letters[: k - 1] + (y,) + w.letters[k:]
+    return Word(w.kind, w.rank, new)
+
+
+def is_highest(w: Word) -> bool:
+    """The definition: every raising operator annihilates the word."""
+    return all(tensor_apply(w, i, RAISE) is None for i in range(1, w.rank + 1))
+
+
+def prefix_weights(w: Word) -> list[WeightVec]:
+    """Partial weight sums over u_1..u_q for q = 0..n."""
+    out = [(0,) * w.rank]
+    for x in w.letters:
+        out.append(vec_add(out[-1], letter_weight(w.kind, w.rank, x)))
+    return out
+
 
 def word_weight(w: Word) -> WeightVec:
     """Sum of letter weights (spin letters contribute doubled weights)."""
-    total = (0,) * w.rank
-    for x in w.letters:
-        total = vec_add(total, letter_weight(w.kind, w.rank, x))
-    return total
+    return prefix_weights(w)[-1]
 
 
 def fan_children(r: int, p: Partition) -> list[Partition]:
@@ -537,7 +637,7 @@ def matrix_from_triangle(rows: list[list[int]]) -> Matrix:
 
 def poly_add(p: Sequence[int], q: Sequence[int]) -> Poly:
     n = max(len(p), len(q))
-    return poly_trim(
+    return trim(
         tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
     )
 

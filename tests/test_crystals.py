@@ -10,14 +10,12 @@ from crystalchords.crystals import (
     CVEC,
     FAN,
     KINDS,
-    LOWER,
     OSCILLATING,
-    RAISE,
     SPIN,
     VACILLATING,
     TableauSeq,
     Word,
-    apply_letter_op,
+    bvec_order,
     cvec_order,
     enumerate_zero,
     is_highest,
@@ -25,16 +23,21 @@ from crystalchords.crystals import (
     letters,
     tableau,
     tableau_to_word,
-    tensor_apply,
     validate_tableau,
     word_to_tableau,
 )
+from crystalchords.weights import is_partition, trim
 import oracles
 from oracles import (
+    LOWER,
+    RAISE,
     all_prefixes_dominant,
+    apply_letter_op,
     iter_words,
+    prefix_weights,
     root_system,
     string_stats,
+    tensor_apply,
     vec_add,
     vec_sub,
     word_weight,
@@ -109,7 +112,9 @@ def test_word_to_tableau_fan_example():
 def test_word_to_tableau_oscillating():
     t = word_to_tableau(Word(CVEC, 1, (1, -1)))
     assert t.steps == ((), (1,), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^word is not highest weight: prefix weight \(-1,\) is not a partition$"
+    ):
         word_to_tableau(Word(CVEC, 1, (-1, 1)))
 
 
@@ -122,6 +127,11 @@ def test_vacillating_word_round_trip():
     w = tableau_to_word(v)
     assert w.kind == BVEC and len(w) == 9
     assert word_to_tableau(w) == v
+    with pytest.raises(
+        ValueError,
+        match=r"^word is not highest weight: vacillating step may repeat \(\) only with all 2 parts positive$",
+    ):
+        word_to_tableau(Word(BVEC, 2, (0,)))
 
 
 def test_tableau_validation():
@@ -156,14 +166,18 @@ def test_fan_counts_match_product_formula(r, half):
     assert len(enumerate_zero(FAN, r, 2 * half)) == fan_count_formula(half, r)
 
 
+def _prefix_steps(w):
+    return tuple(trim(mu) for mu in prefix_weights(w))
+
+
 def test_enumerate_zero_vacillating_brute_force():
     got = enumerate_zero(VACILLATING, 1, 2)
     assert [t.steps for t in got] == [((), (1,), ())]
     # oracle: filter all rank-1 bvec words by the raising operators
     expected = {
-        word_to_tableau(w).steps
+        _prefix_steps(w)
         for w in iter_words(BVEC, 1, 2)
-        if is_highest(w) and word_weight(w) == (0,)
+        if oracles.is_highest(w) and word_weight(w) == (0,)
     }
     assert {t.steps for t in got} == expected
 
@@ -181,9 +195,9 @@ def test_enumerate_zero_vacillating_brute_force():
 def test_enumerate_zero_matches_word_filter(family, kind, r, n):
     zero = (0,) * r
     expected = {
-        word_to_tableau(w).steps
+        _prefix_steps(w)
         for w in iter_words(kind, r, n)
-        if word_weight(w) == zero and is_highest(w)
+        if word_weight(w) == zero and oracles.is_highest(w)
     }
     got = [t.steps for t in enumerate_zero(family, r, n)]
     assert set(got) == expected
@@ -242,23 +256,41 @@ def test_word_partial_inverses_and_weight_shift(kind, r, n):
                 assert tensor_apply(up, i, LOWER) == w
 
 
+# (rank, longest word) over which the step rule is held to the operators
+_HIGHEST_RANGES = ((1, 7), (2, 6), (3, 4))
+_FAMILY_OF = {CVEC: OSCILLATING, SPIN: FAN, BVEC: VACILLATING}
+
+
+def _matches_operator_definition(w) -> bool:
+    """is_highest and word_to_tableau agree with the raising operators on w."""
+    highest = oracles.is_highest(w)
+    assert is_highest(w) == highest, w
+    if highest:
+        t = word_to_tableau(w)
+        assert (t.family, t.rank, t.steps) == (_FAMILY_OF[w.kind], w.rank, _prefix_steps(w)), w
+        validate_tableau(t)
+    else:
+        with pytest.raises(ValueError, match=r"^word is not highest weight: "):
+            word_to_tableau(w)
+    return highest
+
+
 @pytest.mark.parametrize(
-    "kind,r,n", [(CVEC, 2, 5), (SPIN, 2, 5), (CVEC, 3, 3), (SPIN, 3, 4)]
+    "kind,r,n",
+    [(kind, r, n) for kind in (CVEC, SPIN) for r, top in _HIGHEST_RANGES for n in range(top + 1)],
 )
 def test_minuscule_highest_iff_prefix_dominant(kind, r, n):
     for w in iter_words(kind, r, n):
-        assert is_highest(w) == all_prefixes_dominant(w)
+        assert _matches_operator_definition(w) == all_prefixes_dominant(w), w
 
 
-@pytest.mark.parametrize("r,n", [(1, 6), (2, 6)])
+@pytest.mark.parametrize("r,n", [(r, n) for r, top in _HIGHEST_RANGES for n in range(top + 1)])
 def test_vacillating_highest_characterization(r, n):
     """Highest bvec words are exactly those whose prefix sums vacillate."""
     for w in iter_words(BVEC, r, n):
         sums = [(0,) * r]
         ok = True
         for x in w.letters:
-            from crystalchords.weights import is_partition, trim
-
             nxt = vec_add(sums[-1], letter_weight(BVEC, r, x))
             if not is_partition(nxt):
                 ok = False
@@ -267,7 +299,7 @@ def test_vacillating_highest_characterization(r, n):
                 ok = False
                 break
             sums.append(nxt)
-        assert is_highest(w) == ok, w
+        assert _matches_operator_definition(w) == ok, w
 
 
 def test_enumerate_zero_leaves_no_reference_cycle():
@@ -283,6 +315,7 @@ def test_enumerate_zero_leaves_no_reference_cycle():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_cvec_order_follows_letters(r):
     assert [cvec_order(x, r) for x in letters(CVEC, r)] == list(range(1, 2 * r + 1))
+    assert [bvec_order(x, r) for x in letters(BVEC, r)] == list(range(1, 2 * r + 2))
 
 
 def test_enumerate_zero_prefix_splitting():

@@ -1,16 +1,13 @@
 import pytest
 
-from crystalchords.crystals import SPIN, Word, tableau
+from crystalchords.crystals import tableau
 from crystalchords.serialize import (
     dump_json,
-    parse_matrix,
     parse_partition,
     parse_tableau,
-    parse_word,
     render_chords,
     render_tableau,
     tableau_to_json,
-    word_to_json,
 )
 
 
@@ -32,24 +29,8 @@ def test_tableau_json_round_trip():
     assert render_tableau(t) == "000,111,220,111,000"
 
 
-def test_word_json_round_trip_spin_signs():
-    w = Word(SPIN, 3, ((1, 1, 1), (-1, -1, 1)))
-    payload = word_to_json(w)
-    assert payload["letters"] == ["+++", "--+"]
-    assert parse_word(payload) == w
-
-
-def test_word_json_barred_letters():
-    payload = {"kind": "bvec", "r": 2, "letters": [1, 0, -2]}
-    w = parse_word(payload)
-    assert w.letters == (1, 0, -2)
-    assert word_to_json(w) == payload
-
-
 def test_matrix_and_chords():
-    m = parse_matrix([[0, 2], [2, 0]])
-    assert m == ((0, 2), (2, 0))
-    assert render_chords(m) == "1-2 x2"
+    assert render_chords(((0, 2), (2, 0))) == "1-2 x2"
     assert render_chords(((0,),)) == "(no chords)"
 
 

@@ -8,7 +8,6 @@ from crystalchords.crystals import (
     CVEC,
     FAN,
     OSCILLATING,
-    RAISE,
     SPIN,
     VACILLATING,
     Word,
@@ -16,7 +15,6 @@ from crystalchords.crystals import (
     letters,
     tableau,
     tableau_to_word,
-    tensor_apply,
 )
 from crystalchords.fixtures import F42_FAN, F62_FAN, F72_VAC, G22, G32, H72
 from crystalchords.sieving import (
@@ -32,16 +30,16 @@ from crystalchords.sieving import (
     poly_mod_cyclic,
     poly_mul,
     poly_str,
-    poly_trim,
     q_int,
     syt_h_poly,
 )
+from crystalchords.weights import trim
 
-from oracles import poly_add, spin_pair_energy_by_raising
+from oracles import RAISE, poly_add, spin_pair_energy_by_raising, tensor_apply
 
 
 def test_poly_arithmetic():
-    assert poly_trim((1, 0, 2, 0, 0)) == (1, 0, 2)
+    assert trim((1, 0, 2, 0, 0)) == (1, 0, 2)
     assert poly_add((1, 1), (0, -1, 3)) == (1, 0, 3)
     assert poly_mul((1, 1), (1, 1)) == (1, 2, 1)
     assert poly_divexact(poly_mul(q_int(6), q_int(4)), q_int(4)) == q_int(6)
@@ -90,11 +88,19 @@ def test_spin_energy_matches_classical_raising(r):
         ((1, 0), (1, 1)),
         ((1, 1), [1, 1]),
         (1, (1, 1)),
+        (5, 1),  # 5 exceeds the rank
+        (0, 7),  # 0 is no cvec letter, 7 no bvec letter
+        (1, -3),
+        (1, 1.0),
     ],
 )
 def test_spin_energy_rejects_what_is_not_a_rank_r_letter(a, b):
-    with pytest.raises(ValueError, match="is not a spin letter of rank 2"):
-        local_energy(SPIN, 2, a, b)
+    """Each pair holds a non-letter of every kind at rank 2, on either side."""
+    for kind in (SPIN, CVEC, BVEC):
+        with pytest.raises(ValueError, match=f"is not a {kind} letter of rank 2"):
+            local_energy(kind, 2, a, b)
+        with pytest.raises(ValueError, match=f"is not a {kind} letter of rank 2"):
+            local_energy(kind, 2, b, a)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

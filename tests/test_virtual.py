@@ -4,9 +4,7 @@ from crystalchords.crystals import (
     BVEC,
     CVEC,
     FAN,
-    LOWER,
     OSCILLATING,
-    RAISE,
     SPIN,
     VACILLATING,
     Word,
@@ -28,6 +26,9 @@ from crystalchords.virtual import (
 )
 
 from oracles import (
+    LOWER,
+    RAISE,
+    apply_letter_op,
     bvec_word_image,
     iota_f_to_o_by_letters,
     iota_v_to_f_by_cases,
@@ -126,8 +127,6 @@ def test_psi_spin_intertwines_operators(r):
         image = _word(CVEC, r, psi_spin(eps, r))
         for i in range(1, r + 1):
             for direction in (LOWER, RAISE):
-                from crystalchords.crystals import apply_letter_op
-
                 moved = apply_letter_op(SPIN, r, i, direction, eps)
                 virt = virtual_apply(image, i, direction)
                 if moved is None:
@@ -139,8 +138,6 @@ def test_psi_spin_intertwines_operators(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_psi_vec_intertwines_operators(r):
-    from crystalchords.crystals import apply_letter_op
-
     for b in letters(BVEC, r):
         image = _word(CVEC, r, psi_vec(b, r))
         for i in range(1, r + 1):
