@@ -13,17 +13,22 @@ of the element ``u_n (x) ... (x) u_1``, bracketed left-associatively as
 ``(((u_n (x) u_{n-1}) (x) ...) (x) u_1)``.  Every operation stated on tensor
 products is re-indexed here and nowhere else.
 
-Highest weight is decided by the step rule: a word is highest weight exactly
-when its prefix weights form a tableau of the family, which
-:func:`word_to_tableau` checks in one pass.  The crystal operators e_i and
-f_i, which define highest weight, follow the same factor order and live in
-``tests/oracles.py`` as the definition the tests hold this rule to.
+A step of a tableau adds the weight of one letter of its family's crystal,
+and :func:`check_step` alone says which steps a family allows.  Highest
+weight is decided by that rule: a word is highest weight exactly when its
+prefix weights form a tableau of the family, which :func:`word_to_tableau`
+checks in one pass.  :func:`enumerate_zero` lists next steps by the same
+rule, memoised per partition, and :func:`tableau_to_word` reads each step
+back as a letter.  The crystal operators e_i and f_i, which define highest
+weight, follow the same factor order and live in ``tests/oracles.py`` as
+the definition the tests hold this rule to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import cache
+from operator import add, sub
 from typing import Sequence
 
 from .weights import Partition, WeightVec, is_partition, pad, partition, trim
@@ -71,13 +76,14 @@ def bvec_order(x: int, r: int) -> int:
 
 
 def is_letter(kind: str, r: int, x) -> bool:
+    # type(...) is int, not isinstance: True and False are ints but no letters
     if kind == CVEC:
-        return isinstance(x, int) and x != 0 and abs(x) <= r
+        return type(x) is int and x != 0 and abs(x) <= r
     if kind == BVEC:
-        return isinstance(x, int) and abs(x) <= r
+        return type(x) is int and abs(x) <= r
     if kind == SPIN:
         return (
-            isinstance(x, tuple) and len(x) == r and all(e in (1, -1) for e in x)
+            isinstance(x, tuple) and len(x) == r and all(type(e) is int and e in (1, -1) for e in x)
         )
     raise ValueError(f"unknown crystal kind {kind!r}")
 
@@ -230,51 +236,36 @@ def is_highest(w: Word) -> bool:
 def tableau_to_word(t: TableauSeq) -> Word:
     """Inverse of :func:`word_to_tableau`."""
     kind = FAMILY_KIND[t.family]
-    out = []
-    for p, q in zip(t.steps, t.steps[1:]):
-        diff = tuple(b - a for a, b in zip(pad(p, t.rank), pad(q, t.rank)))
-        if kind == SPIN:
-            out.append(diff)
-        else:
-            rows = [j + 1 for j, d in enumerate(diff) if d != 0]
-            if not rows:
-                out.append(0)
-            elif diff[rows[0] - 1] == 1:
-                out.append(rows[0])
-            else:
-                out.append(-rows[0])
+    letter_of = _letter_of(kind, t.rank)
+    padded = [pad(p, t.rank) for p in t.steps]
     # the steps of a valid tableau differ by letters of its family's crystal
-    return Word._trusted(kind, t.rank, tuple(out))
+    out = tuple(letter_of[tuple(map(sub, b, a))] for a, b in zip(padded, padded[1:]))
+    return Word._trusted(kind, t.rank, out)
 
 
-def _children(family: str, r: int, p: Partition) -> list[Partition]:
-    """Possible next steps after p, in lexicographic order."""
-    if family == FAN:
-        # each part moves by -1 or +1, chosen left to right (-1 first keeps the
-        # order lexicographic); a prefix dies once a part is negative or exceeds
-        # the part before it
-        heads = [()]
-        for x in pad(p, r):
-            heads = [
-                h + (y,)
-                for h in heads
-                for y in (x - 1, x + 1)
-                if y >= 0 and (not h or y <= h[-1])
-            ]
-        return [trim(q) for q in heads]
-    out: set[Partition] = set()
-    # single-box moves, shared by oscillating and vacillating
-    pp = pad(p, min(r, len(p) + 1))
-    for k in range(len(pp)):
-        up = pp[:k] + (pp[k] + 1,) + pp[k + 1 :]
-        if is_partition(up):
-            out.add(trim(up))
-        down = pp[:k] + (pp[k] - 1,) + pp[k + 1 :]
-        if pp[k] > 0 and is_partition(down):
-            out.add(trim(down))
-    if family == VACILLATING and len(p) == r:
-        out.add(p)
-    return sorted(out)
+@cache
+def _letter_of(kind: str, r: int) -> dict[WeightVec, object]:
+    """Each letter of the crystal keyed by its weight (distinct); shared, so read only."""
+    return {letter_weight(kind, r, x): x for x in letters(kind, r)}
+
+
+@cache
+def _children(family: str, r: int, p: Partition) -> tuple[Partition, ...]:
+    """Possible next steps after p, in lexicographic order.
+
+    Each is p plus the weight of a letter, kept if :func:`check_step` allows it.
+    """
+    a = pad(p, r)
+    out = []
+    for d in _letter_of(FAMILY_KIND[family], r):
+        b = tuple(map(add, a, d))
+        if is_partition(b):
+            try:
+                check_step(family, a, b)
+            except ValueError:
+                continue
+            out.append(trim(b))
+    return tuple(sorted(out))
 
 
 def _feasible(family: str, p: Partition, remaining: int) -> bool:

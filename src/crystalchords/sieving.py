@@ -213,6 +213,12 @@ def descent_major(w: Word) -> tuple[tuple[int, ...], int]:
     if w.kind != BVEC:
         raise ValueError("descents are defined for bvec words")
     word_to_tableau(w)  # raises unless w is highest weight
+    descents = _descents(w)
+    return descents, sum(descents)
+
+
+def _descents(w: Word) -> tuple[int, ...]:
+    """Descent set of :func:`descent_major`, for a word known to be a highest weight bvec word."""
     r = w.rank
     descents = []
     for i in range(1, len(w)):
@@ -225,7 +231,7 @@ def descent_major(w: Word) -> tuple[tuple[int, ...], int]:
             if prefix.count(j) == prefix.count(-j):
                 continue
         descents.append(i)
-    return tuple(descents), sum(descents)
+    return tuple(descents)
 
 
 def h_poly(n: int, r: int) -> Poly:
@@ -235,7 +241,9 @@ def h_poly(n: int, r: int) -> Poly:
 
 def major_poly(elements: Sequence[TableauSeq]) -> Poly:
     """:func:`h_poly` summed over a given listing of vacillating tableaux."""
-    return poly_count(descent_major(tableau_to_word(t))[1] for t in elements)
+    # the word of a tableau is highest weight by construction, so it skips
+    # the check of descent_major
+    return poly_count(sum(_descents(tableau_to_word(t))) for t in elements)
 
 
 def _partitions_of(n: int, parts_filter: Callable[[int], bool], max_len: int):

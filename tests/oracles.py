@@ -158,22 +158,25 @@ def validate_tableau(t) -> None:
         if len(p) > t.rank:
             raise ValueError(f"{p} has more than {t.rank} parts")
     for p, q in zip(t.steps, t.steps[1:]):
-        kind, _ = step_classify(p, q)
-        if t.family == OSCILLATING:
-            if kind not in ("add_box", "remove_box"):
-                raise ValueError(f"oscillating step {p} -> {q} must add or remove one box")
-        elif t.family == FAN:
-            diff = set(a - b for a, b in zip(pad(q, t.rank), pad(p, t.rank)))
-            if not diff <= {1, -1}:
-                raise ValueError(f"fan step {p} -> {q} must change every part by one")
-        else:  # vacillating
-            if kind == "equal":
-                if len(p) != t.rank:
-                    raise ValueError(
-                        f"vacillating step may repeat {p} only with all {t.rank} parts positive"
-                    )
-            elif kind not in ("add_box", "remove_box"):
-                raise ValueError(f"vacillating step {p} -> {q} must be a box or equal")
+        validate_step(t.family, t.rank, p, q)
+
+
+def validate_step(family: str, r: int, p: Partition, q: Partition) -> None:
+    """The step check of :func:`validate_tableau`, for canonical partitions p and q."""
+    kind, _ = step_classify(p, q)
+    if family == OSCILLATING:
+        if kind not in ("add_box", "remove_box"):
+            raise ValueError(f"oscillating step {p} -> {q} must add or remove one box")
+    elif family == FAN:
+        diff = set(a - b for a, b in zip(pad(q, r), pad(p, r)))
+        if not diff <= {1, -1}:
+            raise ValueError(f"fan step {p} -> {q} must change every part by one")
+    else:  # vacillating
+        if kind == "equal":
+            if len(p) != r:
+                raise ValueError(f"vacillating step may repeat {p} only with all {r} parts positive")
+        elif kind not in ("add_box", "remove_box"):
+            raise ValueError(f"vacillating step {p} -> {q} must be a box or equal")
 
 
 def spin_pair_energy_by_raising(r: int, a, b) -> int:
@@ -420,6 +423,24 @@ def fan_children(r: int, p: Partition) -> list[Partition]:
         q = tuple(pp[j] + (1 if bits & (1 << j) else -1) for j in range(r))
         if all(a >= b for a, b in zip(q, q[1:])) and q[-1] >= 0:
             out.add(trim(q))
+    return sorted(out)
+
+
+def children_by_validation(family: str, r: int, p: Partition) -> list[Partition]:
+    """Next steps after p by brute force, sorted.
+
+    The candidates are the partitions within one of p in each coordinate,
+    and the step check of :func:`validate_tableau` decides which are kept.
+    """
+    out = []
+    for q in itertools.product(*[(x - 1, x, x + 1) for x in pad(p, r)]):
+        if not is_partition(q):
+            continue
+        try:
+            validate_step(family, r, p, trim(q))
+        except ValueError:
+            continue
+        out.append(trim(q))
     return sorted(out)
 
 

@@ -385,7 +385,32 @@ def test_fan_children_match_sign_vector_definition(r):
     from crystalchords.crystals import _children
 
     for p in oracles.box_partitions(r, 4):
-        assert _children(FAN, r, p) == oracles.fan_children(r, p), p
+        assert list(_children(FAN, r, p)) == oracles.fan_children(r, p), p
+
+
+@pytest.mark.parametrize("family", [OSCILLATING, VACILLATING])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_children_match_brute_force_over_candidates(family, r):
+    """Single-box children equal every candidate within one that validation keeps."""
+    from crystalchords.crystals import _children
+
+    for p in oracles.box_partitions(r, 4):
+        assert list(_children(family, r, p)) == oracles.children_by_validation(family, r, p), p
+
+
+def test_children_are_memoised_tuples():
+    from crystalchords.crystals import _children
+
+    for family in (OSCILLATING, FAN, VACILLATING):
+        first = _children(family, 2, (1, 1))
+        assert type(first) is tuple and first
+        assert _children(family, 2, (1, 1)) is first
+
+
+def test_fan_listings_have_product_formula_sizes_at_scale():
+    """Listing sizes of acceptance criterion 8 from a count that does not use _children."""
+    assert len(enumerate_zero(FAN, 4, 10)) == fan_count_formula(5, 4) == 26026
+    assert len(enumerate_zero(FAN, 3, 12)) == fan_count_formula(6, 3) == 81796
 
 
 @pytest.mark.parametrize(

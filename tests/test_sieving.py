@@ -25,6 +25,7 @@ from crystalchords.sieving import (
     g_poly,
     h_poly,
     local_energy,
+    major_poly,
     orbit_decomposition,
     poly_divexact,
     poly_mod_cyclic,
@@ -92,15 +93,21 @@ def test_spin_energy_matches_classical_raising(r):
         (0, 7),  # 0 is no cvec letter, 7 no bvec letter
         (1, -3),
         (1, 1.0),
+        # a bool is an int, but no letter
+        (True, 1),
+        (1, False),
+        (True, -1),
+        ((True, -1), (1, 1)),
     ],
 )
 def test_spin_energy_rejects_what_is_not_a_rank_r_letter(a, b):
     """Each pair holds a non-letter of every kind at rank 2, on either side."""
     for kind in (SPIN, CVEC, BVEC):
-        with pytest.raises(ValueError, match=f"is not a {kind} letter of rank 2"):
-            local_energy(kind, 2, a, b)
-        with pytest.raises(ValueError, match=f"is not a {kind} letter of rank 2"):
-            local_energy(kind, 2, b, a)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=f"is not a {kind} letter of rank 2"):
+                local_energy(kind, 2, *pair)
+            with pytest.raises(ValueError, match=f"is not a {kind} letter of rank 2"):
+                Word(kind, 2, pair)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -190,6 +197,16 @@ def test_weakly_decreasing_reading_has_no_descents():
     # letters not increasing along u_1, u_2, ... means maj is zero
     w = Word(BVEC, 2, (1, 1, 1))
     assert descent_major(w) == ((), 0)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_major_poly_sums_the_checked_descent_major(r):
+    """major_poly skips the highest-weight check but sums what descent_major gives."""
+    for n in range(9):
+        items = enumerate_zero(VACILLATING, r, n)
+        majors = [descent_major(tableau_to_word(t))[1] for t in items]
+        expected = tuple(majors.count(e) for e in range(max(majors, default=-1) + 1))
+        assert major_poly(items) == expected, n
 
 
 def test_h_poly_fixtures():
