@@ -209,8 +209,8 @@ def _scales(suite: str, args) -> list[tuple[str, int, int]]:
     for family in families:
         plain, deep = VERIFY_RANGES[family]
         rmax, nmax = deep if args.deep else plain
-        rmax = min(rmax, args.r) if args.r else rmax
-        nmax = min(nmax, args.n) if args.n else nmax
+        rmax = min(rmax, args.r) if args.r is not None else rmax
+        nmax = min(nmax, args.n) if args.n is not None else nmax
         for r in range(1, rmax + 1):
             for n in range(nmax + 1):
                 out.append((family, r, n))
@@ -292,7 +292,10 @@ SUITES = (*_SUITE_CHECK, "rule-inversion")
 
 
 def rule_inversion_cells(cases: int, seed: int):
-    """Random growth cells (rule, gamma, delta, alpha, m): zero_one, burge, rsk in turn."""
+    """The first ``cases`` random growth cells (rule, gamma, delta, alpha, m):
+    zero_one, burge, rsk in turn."""
+    from itertools import islice
+
     rng = random.Random(seed)
 
     def rand_partition(maxlen=4, maxpart=4):
@@ -328,14 +331,17 @@ def rule_inversion_cells(cases: int, seed: int):
                 opts.append(trim(tuple(cand)))
         return opts[rng.randrange(len(opts))]
 
-    for _ in range((cases + 2) // 3):
-        g = rand_partition()
-        d, a = one_box(g), one_box(g)
-        yield "zero_one", g, d, a, rng.randint(0, 1) if d == g == a else 0
-        d, a = grow(g, True), grow(g, True)
-        yield "burge", g, d, a, rng.randint(0, 3)
-        d, a = grow(g, False), grow(g, False)
-        yield "rsk", g, d, a, rng.randint(0, 3)
+    def cells():
+        while True:
+            g = rand_partition()
+            d, a = one_box(g), one_box(g)
+            yield "zero_one", g, d, a, rng.randint(0, 1) if d == g == a else 0
+            d, a = grow(g, True), grow(g, True)
+            yield "burge", g, d, a, rng.randint(0, 3)
+            d, a = grow(g, False), grow(g, False)
+            yield "rsk", g, d, a, rng.randint(0, 3)
+
+    return islice(cells(), cases)
 
 
 def _rule_inversion_failures(cases: int, seed: int = 20260811) -> list[dict]:
@@ -356,6 +362,10 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    bounds = (("--r", args.r, 1), ("--n", args.n, 0), ("--cases", args.cases, 1), ("--jobs", args.jobs, 1))
+    for flag, value, least in bounds:
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}")
     if suite == "rule-inversion":
         failures = _rule_inversion_failures(args.cases)
         report = {
@@ -368,9 +378,12 @@ def cmd_verify(args) -> int:
         return 0 if not failures else CHECK_FAILED
     # a partial of module-level functions, so --jobs N can pickle it
     check = functools.partial(_guarded, _SUITE_CHECK[suite])
+    scales = _scales(suite, args)
+    if not scales:
+        raise UsageError(f"suite {suite!r} checks no {_family(args.family)} tableaux")
     instances = 0
     failures = []
-    for family, r, n in _scales(suite, args):
+    for family, r, n in scales:
         items = enumerate_zero(family, r, n)
         instances += len(items)
         for t, res in zip(items, _pool_map(check, items, args.jobs)):

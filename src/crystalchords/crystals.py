@@ -162,15 +162,25 @@ def tableau(family: str, rank: int, steps: Sequence[Sequence[int]]) -> TableauSe
     return TableauSeq(family, rank, tuple(partition(s) for s in steps))
 
 
+_INT = frozenset((int,))  # the exact type of every part: no bool, float or str
+
+
 def validate_tableau(t: TableauSeq) -> None:
     if t.family not in FAMILIES:
         raise ValueError(f"unknown family {t.family!r}")
+    if type(t.rank) is not int:
+        raise ValueError(f"rank must be an int, not {type(t.rank).__name__}")
     if t.rank < 1:
         raise ValueError("rank must be positive")
     if not t.steps or t.steps[0] != ():
         raise ValueError("step sequence must start at the empty partition")
     for p in t.steps:
-        if not (isinstance(p, tuple) and is_partition(p) and (not p or p[-1] != 0)):
+        if not (
+            isinstance(p, tuple)
+            and _INT.issuperset(map(type, p))
+            and is_partition(p)
+            and (not p or p[-1] != 0)
+        ):
             raise ValueError(f"{p!r} is not a canonical partition")
         if len(p) > t.rank:
             raise ValueError(f"{p} has more than {t.rank} parts")

@@ -13,8 +13,10 @@ vertical-strip labellings and "rsk" for horizontal-strip labellings.
 Only the public cell_forward/cell_backward canonicalise corners, check the
 filling and look up a rule by name, and they always call the raw rule.  The
 Burge and RSK rules pad their corners once and test the strip condition row
-by row in the same pass that runs the carry; the 0/1 rules work on the
-canonical tuples without padding or trimming.
+by row in the same pass that runs the carry.  "zero_one" is the RSK carry
+behind the 0/1 cell check: adjacent corners must be equal or differ by one
+box, and a filling of 1 needs gamma = delta = alpha.  On such cells Fomin's
+0/1 rules are the RSK rules, so they are not stated a second time.
 
 The sweeps run on one lazily filled table per rule set and direction
 (``_TABLES``): backward maps (beta, delta, alpha) to (gamma, m), forward maps
@@ -53,24 +55,10 @@ class InvalidOutput(Exception):
     """A growth filling whose forward sweep does not produce a family member."""
 
 
-def _union_max(p: Partition, q: Partition) -> Partition:
-    # set union of Young diagrams (row-wise max); distinct from the row-wise
-    # sum union used for doubling.  One of the two tails is empty.
-    return tuple(map(max, p, q)) + p[len(q):] + q[len(p):]
-
-
 def _meet(p: Partition, q: Partition) -> Partition:
     # row-wise min; parts of canonical partitions are positive, so the
     # shorter length is where the meet ends
     return tuple(map(min, p, q))
-
-
-def _add_box(p: Partition, row: int) -> Partition:
-    if row == len(p) + 1:
-        return p + (1,)
-    if row > len(p) or row > 1 and p[row - 2] == p[row - 1]:
-        raise ValueError(f"cannot add a box to row {row} of {p}")
-    return p[: row - 1] + (p[row - 1] + 1,) + p[row:]
 
 
 def _remove_box(p: Partition, row: int) -> Partition:
@@ -116,39 +104,20 @@ def _check_adjacent(p: Partition, q: Partition, what: str) -> int:
 
 
 def _forward_zero_one(gamma, delta, alpha, m) -> Partition:
-    row = _check_adjacent(gamma, delta, "zero_one cell")
+    # Fomin's 0/1 rules are the RSK carry on cells whose labels differ by a box
+    _check_adjacent(gamma, delta, "zero_one cell")
     _check_adjacent(gamma, alpha, "zero_one cell")
     if m not in (0, 1):
         raise ValueError("zero_one filling must be 0 or 1")
-    if m == 1:
-        if not gamma == delta == alpha:
-            raise ValueError("a 1 requires equal gamma, delta, alpha")
-        return _add_box(gamma, 1)  # F6
-    if gamma == delta == alpha:
-        return gamma  # F1
-    if gamma == delta:
-        return alpha  # F2
-    if gamma == alpha:
-        return delta  # F3
-    if delta != alpha:
-        return _union_max(delta, alpha)  # F4
-    return _add_box(delta, row + 1)  # F5
+    if m == 1 and not gamma == delta == alpha:
+        raise ValueError("a 1 requires equal gamma, delta, alpha")
+    return _forward_rsk(gamma, delta, alpha, m)
 
 
 def _backward_zero_one(beta, delta, alpha) -> tuple[Partition, int]:
-    row = _check_adjacent(delta, beta, "zero_one cell")
+    _check_adjacent(delta, beta, "zero_one cell")
     _check_adjacent(alpha, beta, "zero_one cell")
-    if beta == delta == alpha:
-        return beta, 0  # B1
-    if beta == delta:
-        return alpha, 0  # B2
-    if beta == alpha:
-        return delta, 0  # B3
-    if delta != alpha:
-        return _meet(delta, alpha), 0  # B4
-    if row >= 2:
-        return _remove_box(delta, row - 1), 0  # B5
-    return delta, 1  # B6
+    return _backward_rsk(beta, delta, alpha)
 
 
 def _forward_burge(gamma, delta, alpha, m) -> Partition:

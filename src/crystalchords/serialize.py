@@ -39,7 +39,7 @@ def parse_tableau(value, family: str | None = None, rank: int | None = None) -> 
         fam = value.get("family", family)
         r = value.get("r", rank)
         steps = tuple(parse_partition(s) for s in value["steps"])
-        return TableauSeq(fam, int(r), steps)
+        return TableauSeq(fam, r, steps)
     raise ValueError(f"cannot parse a tableau from {value!r}")
 
 

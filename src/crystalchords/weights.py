@@ -18,8 +18,11 @@ WeightVec = tuple[int, ...]
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalize a weakly decreasing sequence into a partition."""
-    p = tuple(map(int, parts))
+    """Validate and canonicalize a weakly decreasing sequence of ints into a partition."""
+    p = tuple(parts)
+    for x in p:
+        if type(x) is not int:  # no bool, float or str parts
+            raise ValueError(f"part {x!r} of {p} is not an int")
     if any(map(lt, p, p[1:])):
         raise ValueError(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:

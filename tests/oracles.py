@@ -23,7 +23,15 @@ from crystalchords.crystals import (
     letter_weight,
     letters,
 )
-from crystalchords.growth import _FAMILY_RULE, _RULES, Matrix, _meet, _remove_box, blocksum
+from crystalchords.growth import (
+    _FAMILY_RULE,
+    _RULES,
+    Matrix,
+    _check_adjacent,
+    _meet,
+    _remove_box,
+    blocksum,
+)
 from crystalchords.sieving import Poly
 from crystalchords.virtual import (
     iota_v_to_f,
@@ -736,3 +744,56 @@ def backward_carry(beta, delta, alpha, burge: bool):
     if any(x < 0 for x in gamma) or not is_partition(gamma):
         raise ValueError(f"no valid SW corner for {beta}, {delta}, {alpha}")
     return trim(tuple(gamma)), carry
+
+
+def union_max(p: Partition, q: Partition) -> Partition:
+    """Set union of Young diagrams (row-wise max) on canonical tuples."""
+    # distinct from the row-wise sum union used for doubling; one tail is empty
+    return tuple(map(max, p, q)) + p[len(q):] + q[len(p):]
+
+
+def add_box(p: Partition, row: int) -> Partition:
+    """Add one box to row (1-based) of a canonical partition."""
+    if row == len(p) + 1:
+        return p + (1,)
+    if row > len(p) or row > 1 and p[row - 2] == p[row - 1]:
+        raise ValueError(f"cannot add a box to row {row} of {p}")
+    return p[: row - 1] + (p[row - 1] + 1,) + p[row:]
+
+
+def fomin_forward(gamma, delta, alpha, m) -> Partition:
+    """Fomin's forward rules F1-F6 for 0/1 fillings, case by case."""
+    row = _check_adjacent(gamma, delta, "zero_one cell")
+    _check_adjacent(gamma, alpha, "zero_one cell")
+    if m not in (0, 1):
+        raise ValueError("zero_one filling must be 0 or 1")
+    if m == 1:
+        if not gamma == delta == alpha:
+            raise ValueError("a 1 requires equal gamma, delta, alpha")
+        return add_box(gamma, 1)  # F6
+    if gamma == delta == alpha:
+        return gamma  # F1
+    if gamma == delta:
+        return alpha  # F2
+    if gamma == alpha:
+        return delta  # F3
+    if delta != alpha:
+        return union_max(delta, alpha)  # F4
+    return add_box(delta, row + 1)  # F5
+
+
+def fomin_backward(beta, delta, alpha) -> tuple[Partition, int]:
+    """Fomin's backward rules B1-B6 for 0/1 fillings, case by case."""
+    row = _check_adjacent(delta, beta, "zero_one cell")
+    _check_adjacent(alpha, beta, "zero_one cell")
+    if beta == delta == alpha:
+        return beta, 0  # B1
+    if beta == delta:
+        return alpha, 0  # B2
+    if beta == alpha:
+        return delta, 0  # B3
+    if delta != alpha:
+        return _meet(delta, alpha), 0  # B4
+    if row >= 2:
+        return _remove_box(delta, row - 1), 0  # B5
+    return delta, 1  # B6

@@ -94,6 +94,39 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("osc-main", "--r", "-1"), "--r must be at least 1"),
+        (("osc-main", "--r", "0"), "--r must be at least 1"),
+        (("osc-main", "--n", "-2"), "--n must be at least 0"),
+        (("osc-main", "--family", "fan"), "suite 'osc-main' checks no fan tableaux"),
+        (("vac-main", "--family", "osc"), "suite 'vac-main' checks no oscillating tableaux"),
+        (("rule-inversion", "--cases", "0"), "--cases must be at least 1"),
+        (("rule-inversion", "--cases", "-5"), "--cases must be at least 1"),
+        (("osc-main", "--jobs", "0"), "--jobs must be at least 1"),
+    ],
+)
+def test_verify_rejects_options_that_check_nothing(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_rule_inversion_checks_exactly_the_cases_asked_for():
+    from crystalchords.cli import rule_inversion_cells
+
+    assert [len(list(rule_inversion_cells(k, 1))) for k in (1, 2, 3)] == [1, 2, 3]
+    rules = [cell[0] for cell in rule_inversion_cells(10, 1)]
+    assert rules == ["zero_one", "burge", "rsk"] * 3 + ["zero_one"]
+
+
+def test_promote_input_rejects_a_fractional_rank_and_parts(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"family": "oscillating", "r": 1.9, "steps": [[], [1.5], [0.4]]}))
+    code, out, err = run(capsys, "promote", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: part 1.5 of (1.5,) is not an int\n")
+
+
 def test_csp_exit_codes(capsys):
     code, out, _ = run(capsys, "csp", "--family", "fan", "--r", "2", "--n", "4", "--poly", "f")
     assert code == 0 and json.loads(out)["holds"] is True
@@ -274,7 +307,15 @@ for _suite in ("rotation", "order", "blowup-lemmas"):
 @pytest.mark.parametrize("deep", [False, True])
 @pytest.mark.parametrize(
     "options",
-    [(), ("--family", "fan"), ("--family", "vac"), ("--r", "2"), ("--n", "5"), ("--family", "osc", "--r", "1", "--n", "4")],
+    [
+        (),
+        ("--family", "fan"),
+        ("--family", "vac"),
+        ("--r", "2"),
+        ("--n", "5"),
+        ("--family", "osc", "--r", "1", "--n", "4"),
+        ("--n", "0"),
+    ],
 )
 def test_verify_scales(suite, deep, options):
     from crystalchords import cli
@@ -285,8 +326,8 @@ def test_verify_scales(suite, deep, options):
     for fam, rmax, nmax in VERIFY_SCALES[suite][deep]:
         if family not in (None, fam):
             continue
-        rmax = min(rmax, args.r) if args.r else rmax
-        nmax = min(nmax, args.n) if args.n else nmax
+        rmax = min(rmax, args.r) if args.r is not None else rmax
+        nmax = min(nmax, args.n) if args.n is not None else nmax
         expected += [(fam, r, n) for r in range(1, rmax + 1) for n in range(nmax + 1)]
     assert cli._scales(suite, args) == expected
 

@@ -144,6 +144,22 @@ def test_tableau_validation():
     tableau(VACILLATING, 1, [(), (1,), (1,), (1,), ()])
 
 
+@pytest.mark.parametrize(
+    "rank, steps, message",
+    [
+        (2.5, ((), (1, 1), ()), "rank must be an int, not float"),
+        (True, ((), (1,), ()), "rank must be an int, not bool"),
+        (2, ((), (1.0, 1), ()), "(1.0, 1) is not a canonical partition"),
+        (2, ((), (True, True), ()), "(True, True) is not a canonical partition"),
+        (2, ((), ("1", "1"), ()), "('1', '1') is not a canonical partition"),
+    ],
+)
+def test_tableau_takes_int_ranks_and_parts_only(rank, steps, message):
+    with pytest.raises(ValueError) as exc:
+        TableauSeq(FAN, rank, steps)
+    assert str(exc.value) == message
+
+
 def fan_count_formula(n: int, r: int) -> int:
     """Product formula for the number of r-fans of length 2n."""
     value = Fraction(1)

@@ -36,3 +36,19 @@ def test_matrix_and_chords():
 
 def test_dump_json_stable():
     assert dump_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"family": "oscillating", "r": 1.9, "steps": [[], [1], []]}, "rank must be an int, not float"),
+        ({"family": "oscillating", "r": True, "steps": [[], [1], []]}, "rank must be an int, not bool"),
+        ({"family": "oscillating", "steps": [[], [1], []]}, "rank must be an int, not NoneType"),
+        ({"family": "oscillating", "r": 1, "steps": [[], [1.5], [0.4]]}, "part 1.5 of (1.5,) is not an int"),
+        ({"family": "fan", "r": 2, "steps": [[], [True, True], []]}, "part True of (True, True) is not an int"),
+    ],
+)
+def test_parse_tableau_takes_int_ranks_and_parts_only(value, message):
+    with pytest.raises(ValueError) as exc:
+        parse_tableau(value)
+    assert str(exc.value) == message

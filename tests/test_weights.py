@@ -29,6 +29,21 @@ def test_partition_canonical_form():
         partition((2, -1))
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([1.7, 0.2], "part 1.7 of (1.7, 0.2) is not an int"),
+        ([2, 1.0], "part 1.0 of (2, 1.0) is not an int"),
+        ([True], "part True of (True,) is not an int"),
+        (["2", "1"], "part '2' of ('2', '1') is not an int"),
+    ],
+)
+def test_partition_takes_int_parts_only(parts, message):
+    with pytest.raises(ValueError) as exc:
+        partition(parts)
+    assert str(exc.value) == message
+
+
 def test_dominant_representative_examples():
     assert dominant_representative((0, -1, 2)) == (2, 1)
     assert dominant_representative((1, 1, 1)) == (1, 1, 1)
