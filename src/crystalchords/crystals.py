@@ -18,10 +18,13 @@ and :func:`check_step` alone says which steps a family allows.  Highest
 weight is decided by that rule: a word is highest weight exactly when its
 prefix weights form a tableau of the family, which :func:`word_to_tableau`
 checks in one pass.  :func:`enumerate_zero` lists next steps by the same
-rule, memoised per partition, and :func:`tableau_to_word` reads each step
-back as a letter.  The crystal operators e_i and f_i, which define highest
-weight, follow the same factor order and live in ``tests/oracles.py`` as
-the definition the tests hold this rule to.
+rule, memoised per partition.  :func:`tableau_to_word` reads each step back
+as a letter from the step table of its (kind, rank), keyed by the pair of
+canonical partitions and filled on first use, so no call pads or subtracts;
+the promotion rule takes its words from the same table.  The crystal
+operators e_i and f_i, which define highest weight, follow the same factor
+order and live in ``tests/oracles.py`` as the definition the tests hold
+this rule to.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ class Word:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown crystal kind {self.kind!r}")
+        if type(self.rank) is not int:  # True would share the tables of rank 1
+            raise ValueError(f"rank must be an int, not {type(self.rank).__name__}")
         if self.rank < 1:
             raise ValueError("rank must be positive")
         for x in self.letters:
@@ -246,11 +251,43 @@ def is_highest(w: Word) -> bool:
 def tableau_to_word(t: TableauSeq) -> Word:
     """Inverse of :func:`word_to_tableau`."""
     kind = FAMILY_KIND[t.family]
-    letter_of = _letter_of(kind, t.rank)
-    padded = [pad(p, t.rank) for p in t.steps]
-    # the steps of a valid tableau differ by letters of its family's crystal
-    out = tuple(letter_of[tuple(map(sub, b, a))] for a, b in zip(padded, padded[1:]))
-    return Word._trusted(kind, t.rank, out)
+    return Word._trusted(kind, t.rank, step_letters(kind, t.rank, t.steps))
+
+
+def step_letters(kind: str, r: int, steps: Sequence[Partition]) -> tuple:
+    """Letters of the steps between consecutive canonical partitions of a valid tableau."""
+    return tuple(map(_step_table(kind, r).__getitem__, zip(steps, steps[1:])))
+
+
+class _Table(dict):
+    """A dict that stores ``fill(key)`` for a missing key on its first use."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+@cache
+def _step_table(kind: str, r: int) -> _Table:
+    """The letter of each step (a, b) of canonical partitions, filled on first use.
+
+    The value is the letter of weight pad(b) - pad(a), so each step is padded
+    and subtracted once per (kind, rank), not once per tableau.  Keys come from
+    valid tableaux, whose steps differ by letters of the family's crystal.
+    """
+    letter_of = _letter_of(kind, r)
+
+    def letter(step: tuple[Partition, Partition]):
+        a, b = step
+        return letter_of[tuple(map(sub, pad(b, r), pad(a, r)))]
+
+    return _Table(letter)
 
 
 @cache

@@ -8,6 +8,13 @@ Cells of the promotion matrix are labelled
 and satisfy mu = dom(kappa + nu - lambda), with dom the hyperoctahedral
 dominance map.  The grid entry mu^{i,j} is the (j-i)-th entry of pr^i(T),
 indices mod n, so no geometric cut-and-glue is needed.
+
+Words are read off the canonical steps through the crystal's step table
+(:func:`crystals.step_letters`), and each state of the rule carries its
+canonical partition, so promotion pads, subtracts and trims nothing per
+call.  A vacillating tableau is promoted as pr_O^2 of its oscillating
+embedding; the checks that the result stays in the image run once per
+stored entry of that walk, not once per call.
 """
 
 from __future__ import annotations
@@ -15,9 +22,20 @@ from __future__ import annotations
 from functools import cache
 from operator import add, sub
 
-from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq, check_step
-from .virtual import NotInImage, _halve, _v_to_f_vectors, _v_to_o_vectors
-from .weights import WeightVec, pad, trim
+from .crystals import (
+    BVEC,
+    FAMILY_KIND,
+    FAN,
+    OSCILLATING,
+    VACILLATING,
+    TableauSeq,
+    _letter_of,
+    check_step,
+    letter_weight,
+    step_letters,
+)
+from .virtual import NotInImage, _halve, _v_to_f_vectors, _v_to_o_vectors, psi_vec
+from .weights import Partition, WeightVec, pad, trim
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -26,43 +44,54 @@ CHORD_MAPS = {"M_O": OSCILLATING, "M_F": FAN, "M_VO": VACILLATING, "M_VF": VACIL
 
 
 class _State(dict):
-    """A padded partition kappa of a local rule, holding its own row of the table.
+    """A partition kappa of a local rule, holding its own row of the table.
 
-    Keys are input letters, values ``(next state, output letter, fill)``.  A
-    letter missing from the row is computed by the rule on first use.
+    ``parts`` is kappa padded to the rank and ``partition`` the same kappa
+    trimmed.  Keys are letters of the family's crystal, values ``(next
+    state, output letter, fill)``.  A letter missing from the row is computed
+    by the rule on first use.  States are interned per rule, so they compare
+    and hash by identity.
     """
 
-    __slots__ = ("rule", "parts", "exit_letter")
+    __slots__ = ("rule", "parts", "partition", "exit_letter")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, rule: _LocalRule, parts: WeightVec):
         super().__init__()
         self.rule = rule
         self.parts = parts
-        self.exit_letter: int | None = None  # set once check_step passed the step to empty
+        self.partition = trim(parts)
+        self.exit_letter = None  # set once check_step passed the step to empty
 
-    def __missing__(self, a: int) -> tuple[_State, int, int]:
+    def __missing__(self, a) -> tuple[_State, object, int]:
         return self.rule.cell(self, a)
 
 
 class _LocalRule:
     """mu = dom(kappa + nu - lambda) of one family and rank, as a lazily filled transducer.
 
-    A state is a padded partition kappa; a letter is a step difference
-    nu - lambda, interned as a small int.  The table maps (state, letter) to
-    (state mu, letter mu - kappa, fill), where the fill counts the negative
-    entries of kappa + nu - lambda, capped at one for the oscillating family.
-    Each entry passes :func:`check_step` before it is stored, so a forbidden
+    A state is a partition kappa; a letter is the crystal letter of a step
+    nu - lambda.  The table maps (state, letter) to (state mu, letter of
+    mu - kappa, fill), where the fill counts the negative entries of
+    kappa + nu - lambda, capped at one for the oscillating family.  Each
+    entry passes :func:`check_step` before it is stored, so a forbidden
     transition is never stored and raises its message every time it is met.
     The table memoises the rule only, never a sweep: each row is still walked
     cell by cell.
+
+    ``vacillating`` holds, for the oscillating rule, the checked steps of
+    vacillating promotion (see :func:`_vacillating_step`).
     """
 
     def __init__(self, family: str, rank: int):
         self.family = family
-        self.letter_ids: dict[WeightVec, int] = {}
-        self.letters: list[WeightVec] = []
+        self.kind = FAMILY_KIND[family]
+        self.rank = rank
+        self.letter_of = _letter_of(self.kind, rank)
         self.states: dict[WeightVec, _State] = {}
         self.zero = self.state((0,) * rank)
+        self.vacillating: dict[tuple[_State, _State, _State], Partition] = {}
 
     def state(self, mu: WeightVec) -> _State:
         s = self.states.get(mu)
@@ -70,33 +99,22 @@ class _LocalRule:
             s = self.states[mu] = _State(self, mu)
         return s
 
-    def letter(self, d: WeightVec) -> int:
-        a = self.letter_ids.get(d)
-        if a is None:
-            a = self.letter_ids[d] = len(self.letters)
-            self.letters.append(d)
-        return a
-
-    def word(self, steps: list[WeightVec]) -> list[int]:
-        """Letters of the steps between consecutive padded partitions."""
-        return [self.letter(tuple(map(sub, b, a))) for a, b in zip(steps, steps[1:])]
-
-    def cell(self, s: _State, a: int) -> tuple[_State, int, int]:
+    def cell(self, s: _State, a) -> tuple[_State, object, int]:
         kappa = s.parts
-        v = tuple(map(add, kappa, self.letters[a]))
+        v = tuple(map(add, kappa, letter_weight(self.kind, self.rank, a)))
         mu = tuple(sorted(map(abs, v), reverse=True))
         check_step(self.family, kappa, mu)
         fill = sum(x < 0 for x in v)
         if self.family == OSCILLATING:
             fill = min(fill, 1)
-        entry = s[a] = (self.state(mu), self.letter(tuple(map(sub, mu, kappa))), fill)
+        entry = s[a] = (self.state(mu), self.letter_of[tuple(map(sub, mu, kappa))], fill)
         return entry
 
-    def exit(self, s: _State) -> int:
+    def exit(self, s: _State):
         """Letter of the step from s into the empty partition, checked once per state."""
         if s.exit_letter is None:
             check_step(self.family, s.parts, self.zero.parts)
-            s.exit_letter = self.letter(tuple(-x for x in s.parts))
+            s.exit_letter = self.letter_of[tuple(-x for x in s.parts)]
         return s.exit_letter
 
 
@@ -105,51 +123,74 @@ def _local_rule(family: str, rank: int) -> _LocalRule:
     return _LocalRule(family, rank)
 
 
-def _promote_row(rule: _LocalRule, word: list[int]) -> tuple[list[WeightVec], list[int]]:
-    """Padded steps and letters of the promotion of a nonempty word, one lookup per cell."""
+def _promote_row(rule: _LocalRule, word) -> tuple[list[_State], list]:
+    """States and letters of the promotion of a nonempty word, one lookup per cell.
+
+    The states run from the empty partition back to it; the exit into it is
+    checked like every cell.
+    """
     s = rule.zero
-    row = [s.parts]
+    row = [s]
     out = []
     for a in word[1:]:
         s, b, _ = s[a]
-        row.append(s.parts)
+        row.append(s)
         out.append(b)
     out.append(rule.exit(s))
-    row.append(rule.zero.parts)
+    row.append(rule.zero)
     return row, out
+
+
+def _vacillating_step(rule: _LocalRule, e: _State, o: _State, f: _State) -> Partition:
+    """Half of f, for states at positions 2k, 2k+1, 2k+2 of pr_O^2 of an embedding.
+
+    The halves of e and f must form a vacillating step whose embedding has o
+    at the odd position; that is what shows that pr_O^2 keeps the image.  The
+    check runs once per entry, before it is stored, so an entry that fails
+    raises :class:`NotInImage` every time it is met.
+    """
+    key = (e, o, f)
+    b = rule.vacillating.get(key)
+    if b is None:
+        halves = [_halve(e.parts), _halve(f.parts)]
+        try:
+            check_step(VACILLATING, *halves)
+        except ValueError as exc:
+            raise NotInImage(str(exc)) from exc
+        # the embedding of one step a -> b is a, then its odd position, then 2b
+        if _v_to_o_vectors(halves)[1] != o.parts:
+            raise NotInImage("odd steps do not match the embedding")
+        b = rule.vacillating[key] = trim(halves[1])
+    return b
 
 
 def promote(t: TableauSeq) -> TableauSeq:
     """Promotion of a weight-zero tableau of any of the three families.
 
     A vacillating tableau is promoted as pr_O^2 of its oscillating embedding,
-    on padded vectors.  The even positions of the result are halved, and the
-    odd positions must be the embedding of the halves: that check, with the
-    step check of each half, is what shows that pr_O^2 keeps the image.
+    whose word gives each vacillating letter two C-letters
+    (:func:`virtual.psi_vec`).  The states at the even positions of the
+    result are halved, and each odd one must be the embedding of its halves.
     """
     if t.weight != ():
         raise ValueError("promotion requires weight zero")
     if len(t) == 0:
         return t
     r = t.rank
-    steps = [pad(p, r) for p in t.steps]
     if t.family != VACILLATING:
         rule = _local_rule(t.family, r)
-        steps, _ = _promote_row(rule, rule.word(steps))
+        row, _ = _promote_row(rule, step_letters(rule.kind, r, t.steps))
+        steps = [s.partition for s in row]
     else:
         rule = _local_rule(OSCILLATING, r)
-        _, word = _promote_row(rule, rule.word(_v_to_o_vectors(steps)))
+        word = [x for b in step_letters(BVEC, r, t.steps) for x in psi_vec(b, r)]
+        _, word = _promote_row(rule, word)
         row, _ = _promote_row(rule, word)
-        steps = [_halve(mu) for mu in row[::2]]
-        for a, b in zip(steps, steps[1:]):
-            try:
-                check_step(VACILLATING, a, b)
-            except ValueError as exc:
-                raise NotInImage(str(exc)) from exc
-        if _v_to_o_vectors(steps) != row:
-            raise NotInImage("odd steps do not match the embedding")
-    # every table entry was checked, or the halves were checked above
-    return TableauSeq._trusted(t.family, r, tuple(map(trim, steps)))
+        steps = [()]
+        for k in range(0, len(row) - 1, 2):
+            steps.append(_vacillating_step(rule, row[k], row[k + 1], row[k + 2]))
+    # every table entry and every vacillating entry was checked when it was stored
+    return TableauSeq._trusted(t.family, r, tuple(steps))
 
 
 def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
@@ -168,21 +209,21 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
     if t.weight != ():
         raise ValueError("promotion requires weight zero")
     r = t.rank
-    steps = [pad(p, r) for p in t.steps]
     if family != VACILLATING:
-        return _promotion_fill(family, r, steps)
+        return _promotion_fill(family, r, t.steps)
+    steps = [pad(p, r) for p in t.steps]
     if tag == "M_VO":
-        return _promotion_fill(OSCILLATING, r, _v_to_o_vectors(steps), 2)
-    return _promotion_fill(FAN, r, _v_to_f_vectors(steps), 2, 2 * (r - 1))
+        return _promotion_fill(OSCILLATING, r, list(map(trim, _v_to_o_vectors(steps))), 2)
+    return _promotion_fill(FAN, r, list(map(trim, _v_to_f_vectors(steps))), 2, 2 * (r - 1))
 
 
 def _promotion_fill(
-    family: str, rank: int, steps: list[WeightVec], block: int = 1, shift: int = 0
+    family: str, rank: int, steps: list[Partition], block: int = 1, shift: int = 0
 ) -> Matrix:
     """Filling of the promotion matrix, cell (i, j) read off the sweep making pr^(i+1)(T).
 
-    ``steps`` are the steps of a weight-zero tableau of ``family``, padded to
-    ``rank``.  For k = j - i mod n in 1..n-1 the cell is the table entry met at
+    ``steps`` are the canonical steps of a weight-zero tableau of ``family``.
+    For k = j - i mod n in 1..n-1 the cell is the table entry met at
     position k of row i.  On the diagonal lambda is empty, kappa the last
     inner step of pr^(i+1)(T) and nu the first step of pr^i(T); both are the
     one partition a step away from empty, so that cell is a table entry too.
@@ -193,7 +234,7 @@ def _promotion_fill(
     if n == 0:
         return ()
     rule = _local_rule(family, rank)
-    word = rule.word(steps)
+    word = step_letters(rule.kind, rank, steps)
     zero, leave = rule.zero, rule.exit
     m = n // block
     out = [[0] * m for _ in range(m)]

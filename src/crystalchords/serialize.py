@@ -25,6 +25,8 @@ def parse_partition(value) -> Partition:
         if not text.isdigit():
             raise ValueError(f"compact partition {value!r} must be digits")
         return partition(int(ch) for ch in text)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"cannot parse a partition from {value!r}")
     return partition(value)
 
 
@@ -38,7 +40,10 @@ def parse_tableau(value, family: str | None = None, rank: int | None = None) -> 
     if isinstance(value, dict):
         fam = value.get("family", family)
         r = value.get("r", rank)
-        steps = tuple(parse_partition(s) for s in value["steps"])
+        steps = value.get("steps")
+        if not isinstance(steps, list):
+            raise ValueError("tableau JSON needs a list of steps")
+        steps = tuple(parse_partition(s) for s in steps)
         return TableauSeq(fam, r, steps)
     raise ValueError(f"cannot parse a tableau from {value!r}")
 

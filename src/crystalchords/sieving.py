@@ -11,12 +11,19 @@ a_1..a_j minus the number among b_1..b_j.  No raising operator changes k (check
 the signature rule at positions i, i + 1), and at the classical highest weight
 (+^(r-k) -^k) (x) (+^r), where H = ceil(k / 2) by definition, k counts the
 minus signs of the left factor.
+
+:func:`energy` reads each H from one lazily filled table of letter pairs per
+(kind, rank), and its words are read off canonical steps through the step
+table of :mod:`crystals`, so neither pads, subtracts nor recomputes H per
+call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .crystals import (
@@ -26,6 +33,7 @@ from .crystals import (
     SPIN,
     TableauSeq,
     Word,
+    _Table,
     bvec_order,
     cvec_order,
     enumerate_zero,
@@ -152,13 +160,19 @@ def _pair_energy(kind: str, r: int, a, b) -> int:
 
 def energy(w: Word) -> int:
     """Sum of i * H(b_i (x) b_{i+1}) with b_1 the leftmost tensor factor."""
-    n = len(w)
-    # b_i = letters[n - i]: reading the tensor left to right; a Word's letters
-    # were checked when it was built
-    return sum(
-        i * _pair_energy(w.kind, w.rank, w.letters[n - i], w.letters[n - i - 1])
-        for i in range(1, n)
-    )
+    x = w.letters
+    n = len(x)
+    # b_i = letters[n - i]: reading the tensor left to right, the pair
+    # (letters[j + 1], letters[j]) is b_i (x) b_{i+1} with i = n - 1 - j; a
+    # Word's letters were checked when it was built
+    pairs = map(_pair_energies(w.kind, w.rank).__getitem__, zip(x[1:], x))
+    return sum(map(mul, range(n - 1, 0, -1), pairs))
+
+
+@cache
+def _pair_energies(kind: str, r: int) -> _Table:
+    """:func:`local_energy` of each pair (a, b) of letters, filled on first use."""
+    return _Table(lambda pair: _pair_energy(kind, r, *pair))
 
 
 # ------------------------------------------------------------ q-polynomials

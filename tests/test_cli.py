@@ -127,6 +127,20 @@ def test_promote_input_rejects_a_fractional_rank_and_parts(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: part 1.5 of (1.5,) is not an int\n")
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"family": "oscillating", "r": 1, "steps": [[], 5, []]}, "cannot parse a partition from 5"),
+        ({"family": "oscillating", "r": 1}, "tableau JSON needs a list of steps"),
+    ],
+)
+def test_promote_input_rejects_malformed_json(tmp_path, capsys, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(value))
+    code, out, err = run(capsys, "promote", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_csp_exit_codes(capsys):
     code, out, _ = run(capsys, "csp", "--family", "fan", "--r", "2", "--n", "4", "--poly", "f")
     assert code == 0 and json.loads(out)["holds"] is True

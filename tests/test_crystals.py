@@ -26,7 +26,7 @@ from crystalchords.crystals import (
     validate_tableau,
     word_to_tableau,
 )
-from crystalchords.weights import is_partition, trim
+from crystalchords.weights import is_partition, pad, trim
 import oracles
 from oracles import (
     LOWER,
@@ -472,6 +472,54 @@ def test_tableau_to_word_equals_a_validated_word(family):
         Word(BVEC, 2, (3,))
     with pytest.raises(ValueError, match=r"^\(1,\) is not a spin letter of rank 2$"):
         Word(SPIN, 2, ((1,),))
+
+
+@pytest.mark.parametrize(
+    "rank, message",
+    [(2.5, "rank must be an int, not float"), (True, "rank must be an int, not bool")],
+)
+def test_word_takes_int_ranks_only(rank, message):
+    """A word's rank keys the step and energy tables, where True would stand for 1."""
+    for kind, x in ((CVEC, 1), (BVEC, 0), (SPIN, (1,))):
+        with pytest.raises(ValueError) as exc:
+            Word(kind, rank, (x,))
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("family", [OSCILLATING, FAN, VACILLATING])
+def test_step_table_reads_the_letter_of_each_child_step(family):
+    """The step table gives the letter of weight pad(b) - pad(a) on every step a -> b
+    that the family allows from a partition in the r x 3 box."""
+    from crystalchords.crystals import FAMILY_KIND, _children, _letter_of, _step_table
+    from crystalchords.weights import pad
+
+    steps = 0
+    for r in range(1, 4):
+        kind = FAMILY_KIND[family]
+        table = _step_table(kind, r)
+        assert _step_table(kind, r) is table
+        for a in oracles.box_partitions(r, 3):
+            for b in _children(family, r, a):
+                d = tuple(y - x for x, y in zip(pad(a, r), pad(b, r)))
+                x = table[a, b]
+                assert x == _letter_of(kind, r)[d] and letter_weight(kind, r, x) == d, (a, b)
+                steps += 1
+        # every stored entry, whichever call stored it, holds the same fact
+        for (a, b), x in table.items():
+            assert letter_weight(kind, r, x) == tuple(q - p for p, q in zip(pad(a, r), pad(b, r)))
+    assert steps > 50
+
+
+def test_step_table_pads_each_step_once(monkeypatch):
+    """A second reading of the same tableaux pads nothing."""
+    from crystalchords import crystals
+
+    items = [t for fam in (OSCILLATING, FAN, VACILLATING) for t in enumerate_zero(fam, 2, 6)]
+    words = [tableau_to_word(t) for t in items]
+    calls = []
+    monkeypatch.setattr(crystals, "pad", lambda *args: calls.append(args) or pad(*args))
+    assert [tableau_to_word(t) for t in items] == words
+    assert calls == []
 
 
 def test_boundary_constructors_validate():

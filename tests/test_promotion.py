@@ -204,32 +204,34 @@ def test_promotion_grid_matches_local_rule_sweep(family, rmax, nmax):
                 assert orbit_rows(t) == oracles.promotion_grid(t).rows
 
 
-def _walk(family, steps):
-    """Padded steps and fills of one promotion row over padded steps, on a fresh table."""
+def _walk(family, r, word):
+    """Padded steps and fills of one promotion row over a word of letters, on a fresh table."""
     from crystalchords.promotion import _LocalRule, _promote_row
 
-    rule = _LocalRule(family, len(steps[0]))
-    word = rule.word(steps)
+    rule = _LocalRule(family, r)
     row, _ = _promote_row(rule, word)
     s, fills = rule.zero, []
     for a in word[1:]:
         s, _, f = s[a]
         fills.append(f)
-    return row, fills
+    return [s.parts for s in row], fills
 
 
 def test_sweep_checks_every_new_step():
-    """The table raises validation's message on a step its family forbids."""
-    row, fills = _walk(OSCILLATING, [(0,), (1,), (0,)])
+    """The table raises validation's message on a step its family forbids.
+
+    The rule reads letters of the family's crystal, so from the empty
+    partition a sweep meets a forbidden step only at its exit; the cells
+    that a forged state forbids are pinned by the two tests after this one.
+    """
+    row, fills = _walk(OSCILLATING, 1, (1, -1))
     # kappa + nu - lambda = (-1,): one negative entry
     assert row == [(0,), (1,), (0,)] and fills == [1]
-    with pytest.raises(ValueError, match=r"^oscillating step \(\) -> \(2,\) must add or remove one box$"):
-        _walk(OSCILLATING, [(0,), (2,), (0,)])
     # the last step, into the empty partition, is checked too
     with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
-        _walk(OSCILLATING, [(0,), (1,), (2,), (3,)])
-    with pytest.raises(ValueError, match=r"^fan step \(\) -> \(2,\) must change every part by one$"):
-        _walk(FAN, [(0,), (1,), (3,), (0,)])
+        _walk(OSCILLATING, 1, (1, 1, 1))
+    with pytest.raises(ValueError, match=r"^fan step \(2,\) -> \(\) must change every part by one$"):
+        _walk(FAN, 1, ((1,), (1,), (1,)))
 
 
 def test_chord_matrix_requires_weight_zero():
@@ -249,86 +251,97 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("family", [OSCILLATING, FAN])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_sweep_step_test_matches_check_step(family, r):
-    """The table accepts exactly check_step's pairs, with its message.
+    """The table accepts exactly check_step's steps, with its message.
 
-    From state a the letter b - a gives kappa + nu - lambda = b, so the
-    entry is the step a -> b; the exit from a is the step a -> ().
+    From state a the letter of weight d gives kappa + nu - lambda = a + d,
+    so the entry is the step a -> dom(a + d) of oracles.local_rule; the exit
+    from a is the step a -> ().  A rejected entry is never stored.
     """
-    from crystalchords.crystals import check_step
+    from crystalchords.crystals import FAMILY_KIND, check_step, letter_weight, letters
     from crystalchords.promotion import _LocalRule
     from crystalchords.weights import pad
 
+    kind = FAMILY_KIND[family]
     box = [pad(p, r) for p in oracles.box_partitions(r, 3)]
     rule = _LocalRule(family, r)
     zero = (0,) * r
-    accepted = 0
+    accepted = rejected = 0
     for a in box:
         s = rule.state(a)
         assert _outcome(rule.exit, s) == _outcome(check_step, family, a, zero), a
-        for b in box:
+        for x in letters(kind, r):
+            b = pad(local_rule(zero, a, letter_weight(kind, r, x)), r)
             want = _outcome(check_step, family, a, b)
-            d = rule.letter(tuple(y - x for x, y in zip(a, b)))
-            assert _outcome(s.__getitem__, d) == want, (a, b)
+            assert _outcome(s.__getitem__, x) == want, (a, x)
             if want is None:
-                nxt, out, _ = s[d]
-                assert nxt.parts == b and out == d
+                nxt, out, _ = s[x]
+                assert nxt.parts == b and letter_weight(kind, r, out) == tuple(
+                    q - p for p, q in zip(a, b)
+                )
                 accepted += 1
-                # a step that moves nothing is caught even when the steps after it are
-                # good: the zero letter from a forms a -> a
-                stay = _outcome(check_step, family, a, a)
-                assert stay is not None and _outcome(s.__getitem__, rule.letter(zero)) == stay
+            else:
+                assert x not in s
+                rejected += 1
     assert accepted > 0
+    # from a partition every C-letter adds or removes one box; a fan state whose
+    # parts differ in parity, such as (1,) at r = 2, meets steps that move a
+    # part by 0 or 2
+    assert (rejected > 0) == (family == FAN and r > 1)
 
 
 def test_forbidden_transition_raises_every_time():
     """A forbidden entry is never stored: its second encounter raises the first one's message."""
     from crystalchords.promotion import _LocalRule, _promote_row
 
-    rule = _LocalRule(OSCILLATING, 2)
-    s, a = rule.state((1, 1)), rule.letter((1, 1))
+    fan = _LocalRule(FAN, 2)
+    s, a = fan.state((1, 0)), (-1, -1)
     for _ in range(2):
-        with pytest.raises(ValueError, match=r"^oscillating step \(1, 1\) -> \(2, 2\) must add or remove one box$"):
+        with pytest.raises(ValueError, match=r"^fan step \(1,\) -> \(1,\) must change every part by one$"):
             s[a]
         assert a not in s
+    rule = _LocalRule(OSCILLATING, 2)
     bad_exit = rule.state((2, 0))
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
             rule.exit(bad_exit)
         assert bad_exit.exit_letter is None
-    word = rule.word([(0, 0), (1, 0), (2, 0), (3, 0)])
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
-            _promote_row(rule, word)
+            _promote_row(rule, (1, 1, 1))
+        assert bad_exit.exit_letter is None
 
 
 def test_fan_and_oscillating_tables_share_no_entry():
-    """A vector pair stored by one family's table is still judged by the other's rule."""
+    """A state stored by one family's table is still judged by the other's rule."""
     from crystalchords.promotion import _local_rule
 
     fan, osc = _local_rule(FAN, 2), _local_rule(OSCILLATING, 2)
     assert fan is not osc and _local_rule(FAN, 2) is fan
     # (1, 1) + (-1, -1) = (): a fan step, no oscillating one
-    nxt, _, fill = fan.state((1, 1))[fan.letter((-1, -1))]
+    nxt, _, fill = fan.state((1, 1))[(-1, -1)]
     assert nxt.parts == (0, 0) and fill == 0
+    assert fan.exit(fan.state((1, 1))) == (-1, -1)
     with pytest.raises(ValueError, match=r"^oscillating step \(1, 1\) -> \(\) must add or remove one box$"):
-        osc.state((1, 1))[osc.letter((-1, -1))]
-    # (1, 0) + (0, 1) = (1, 1): an oscillating step, no fan one
-    nxt, _, fill = osc.state((1, 0))[osc.letter((0, 1))]
+        osc.exit(osc.state((1, 1)))
+    # (1, 0) + e_2 = (1, 1): an oscillating step; the fan state (1, 0) plus
+    # (-1, -1) stays at (1, 0), no fan step
+    nxt, _, fill = osc.state((1, 0))[2]
     assert nxt.parts == (1, 1) and fill == 0
-    with pytest.raises(ValueError, match=r"^fan step \(1,\) -> \(1, 1\) must change every part by one$"):
-        fan.state((1, 0))[fan.letter((0, 1))]
+    with pytest.raises(ValueError, match=r"^fan step \(1,\) -> \(1,\) must change every part by one$"):
+        fan.state((1, 0))[(-1, -1)]
 
 
 def _pin_table(t, fill_rule):
     """Walk every row of t's promotion matrix through the shared table, cell by cell,
     against oracles.local_rule and oracles.fill_value; returns the cells checked."""
+    from crystalchords.crystals import step_letters
     from crystalchords.promotion import _local_rule
     from crystalchords.weights import pad
 
     n, r = len(t), t.rank
     rule = _local_rule(t.family, r)
     prev = t.steps
-    word = rule.word([pad(p, r) for p in prev])
+    word = step_letters(rule.kind, r, prev)
     cells = 0
     for _ in range(n):
         new = oracles.promote_steps(prev, r)
@@ -344,8 +357,8 @@ def _pin_table(t, fill_rule):
         out.append(rule.exit(s))
         # the diagonal cell: lambda empty, kappa the last inner step, nu the first
         assert s[word[0]][2] == fill_value(fill_rule, (), new[n - 1], prev[1]), t
-        word, prev = out, new
-        assert word == rule.word([pad(p, r) for p in prev]), t
+        word, prev = tuple(out), new
+        assert word == step_letters(rule.kind, r, prev), t
     return cells
 
 
@@ -384,6 +397,42 @@ def test_vacillating_promote_matches_embedding_round_trip():
     assert promote(empty) == empty
 
 
+@pytest.mark.parametrize("family,r,n", [(FAN, 3, 10), (VACILLATING, 2, 10)])
+def test_promote_matches_the_oracle_on_the_sieved_sets(family, r, n):
+    """promote equals the padding oracles on every tableau that csp fan r=3 n=10 and
+    vac r=2 n=10 promote."""
+    items = enumerate_zero(family, r, n)
+    assert len(items) == {FAN: 4719, VACILLATING: 945}[family]
+    for t in items:
+        if family == VACILLATING:
+            assert promote(t) == oracles.promote_vacillating(t), t
+        else:
+            assert promote(t).steps == oracles.promote_steps(t.steps, r), t
+
+
+def test_promote_checks_each_stored_entry_once(monkeypatch):
+    """A second promotion of the same tableaux runs no step check and halves nothing:
+    every check ran when its entry was stored."""
+    from functools import cache
+
+    from crystalchords import promotion
+
+    items = [t for fam in (OSCILLATING, FAN, VACILLATING) for t in enumerate_zero(fam, 2, 6)]
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(f.__name__) or f(*args)
+
+    monkeypatch.setattr(promotion, "_local_rule", cache(promotion._LocalRule))
+    monkeypatch.setattr(promotion, "check_step", counted(promotion.check_step))
+    monkeypatch.setattr(promotion, "_halve", counted(promotion._halve))
+    first = [promote(t) for t in items]
+    assert {"check_step", "_halve"} <= set(calls)
+    calls.clear()
+    assert [promote(t) for t in items] == first
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "steps,forged",
     [
@@ -402,7 +451,8 @@ def test_vacillating_promote_matches_embedding_round_trip():
     ],
 )
 def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
-    """A pr_O^2 that left the image raises NotInImage with the inverse embedding's message."""
+    """A pr_O^2 that left the image raises NotInImage with the inverse embedding's message,
+    every time it is met, and its failing entry is never stored."""
     from crystalchords import promotion
     from crystalchords.virtual import NotInImage, iota_v_to_o_inverse
     from crystalchords.weights import pad
@@ -410,11 +460,19 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
     with pytest.raises(NotInImage) as want:
         iota_v_to_o_inverse(tableau(OSCILLATING, 2, forged))
     t = tableau(VACILLATING, 2, steps)
-    row = [pad(p, 2) for p in forged]
+    rule = promotion._LocalRule(OSCILLATING, 2)
+    row = [rule.state(pad(p, 2)) for p in forged]
+    monkeypatch.setattr(promotion, "_local_rule", lambda family, rank: rule)
     monkeypatch.setattr(promotion, "_promote_row", lambda rule, word: (row, []))
-    with pytest.raises(NotInImage) as got:
-        promote(t)
-    assert str(got.value) == str(want.value)
+    entries = [tuple(row[k : k + 3]) for k in range(0, len(row) - 1, 2)]
+    for _ in range(2):
+        with pytest.raises(NotInImage) as got:
+            promote(t)
+        assert str(got.value) == str(want.value)
+        # the entries before the failing one passed their checks and are kept
+        stored = [e in rule.vacillating for e in entries]
+        bad = stored.index(False)
+        assert not any(stored[bad:]) and len(rule.vacillating) == bad
 
 
 def test_vacillating_chord_maps_build_no_validating_embedding(monkeypatch):

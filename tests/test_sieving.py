@@ -131,6 +131,34 @@ def test_energy_examples():
     assert poly_mod_cyclic(f_poly(OSCILLATING, 2, 2), 2) == (1,)
 
 
+def _energy_by_pairs(w):
+    """energy from its definition: i * H(b_i (x) b_{i+1}), b_1 the leftmost factor."""
+    b = w.letters[::-1]
+    return sum(i * local_energy(w.kind, w.rank, b[i - 1], b[i]) for i in range(1, len(b)))
+
+
+def test_energy_sums_local_energy_over_the_words_of_tableaux():
+    count = 0
+    for family in (OSCILLATING, FAN, VACILLATING):
+        for r in range(1, 4):
+            for n in range(9):
+                for t in enumerate_zero(family, r, n):
+                    w = tableau_to_word(t)
+                    assert energy(w) == _energy_by_pairs(w), t
+                    count += 1
+    assert count > 1000
+
+
+@pytest.mark.parametrize("kind", [CVEC, BVEC, SPIN])
+def test_energy_sums_local_energy_over_all_short_words(kind):
+    from oracles import iter_words
+
+    for r in range(1, 4):
+        for n in range(5):
+            for w in iter_words(kind, r, n):
+                assert energy(w) == _energy_by_pairs(w), w
+
+
 def test_f_poly_fixtures():
     assert f_poly(FAN, 2, 4) == F42_FAN
     assert f_poly(FAN, 2, 6) == F62_FAN
