@@ -86,7 +86,7 @@ def _load_tableau(args) -> TableauSeq:
         return parse_tableau(json.loads(text))
     if family is None:
         raise UsageError("compact tableau form needs --family")
-    rank = args.r or len(text.split(",")[0])
+    rank = args.r if args.r is not None else len(text.split(",")[0])
     return parse_tableau(text, family, rank)
 
 
@@ -118,6 +118,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_promote(args) -> int:
+    if args.steps < 0:
+        raise UsageError("--steps must be at least 0")
     t = _load_tableau(args)
     if args.orbit:
         rows = []

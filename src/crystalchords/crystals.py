@@ -260,7 +260,7 @@ def step_letters(kind: str, r: int, steps: Sequence[Partition]) -> tuple:
 
 
 class _Table(dict):
-    """A dict that stores ``fill(key)`` for a missing key on its first use."""
+    """A dict that stores ``fill(*key)`` for a missing key; a fill that raises stores nothing."""
 
     __slots__ = ("fill",)
 
@@ -269,7 +269,7 @@ class _Table(dict):
         self.fill = fill
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        value = self[key] = self.fill(*key)
         return value
 
 
@@ -283,8 +283,7 @@ def _step_table(kind: str, r: int) -> _Table:
     """
     letter_of = _letter_of(kind, r)
 
-    def letter(step: tuple[Partition, Partition]):
-        a, b = step
+    def letter(a: Partition, b: Partition):
         return letter_of[tuple(map(sub, pad(b, r), pad(a, r)))]
 
     return _Table(letter)

@@ -45,7 +45,7 @@ from __future__ import annotations
 from itertools import count
 from operator import getitem
 
-from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq
+from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq, _Table
 from .weights import Partition, partition
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -248,27 +248,9 @@ _RULES = {
 _FAMILY_RULE = {OSCILLATING: "zero_one", FAN: "burge", VACILLATING: "rsk"}
 
 
-class _RuleTable(dict):
-    """One direction of a local rule, memoised on its arguments.
-
-    A missing key calls the rule and stores what it returns; a rule that
-    raises leaves no entry.
-    """
-
-    __slots__ = ("rule",)
-
-    def __init__(self, rule):
-        super().__init__()
-        self.rule = rule
-
-    def __missing__(self, key):
-        value = self[key] = self.rule(*key)
-        return value
-
-
 # rule name -> (forward, backward) tables, filled as the sweeps meet new cells
 _TABLES = {
-    name: (_RuleTable(forward), _RuleTable(backward))
+    name: (_Table(forward), _Table(backward))
     for name, (forward, backward) in _RULES.items()
 }
 

@@ -24,6 +24,7 @@ from operator import add, sub
 
 from .crystals import (
     BVEC,
+    CVEC,
     FAMILY_KIND,
     FAN,
     OSCILLATING,
@@ -34,8 +35,8 @@ from .crystals import (
     letter_weight,
     step_letters,
 )
-from .virtual import NotInImage, _halve, _v_to_f_vectors, _v_to_o_vectors, psi_vec
-from .weights import Partition, WeightVec, pad, trim
+from .virtual import NotInImage, _halve, embedded_word, psi_vec
+from .weights import Partition, WeightVec, trim
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -157,8 +158,10 @@ def _vacillating_step(rule: _LocalRule, e: _State, o: _State, f: _State) -> Part
             check_step(VACILLATING, *halves)
         except ValueError as exc:
             raise NotInImage(str(exc)) from exc
-        # the embedding of one step a -> b is a, then its odd position, then 2b
-        if _v_to_o_vectors(halves)[1] != o.parts:
+        # a checked step is the weight of a B-letter, whose first C-letter leads from e to o
+        r = rule.rank
+        x = psi_vec(_letter_of(BVEC, r)[tuple(map(sub, halves[1], halves[0]))], r)[0]
+        if tuple(map(add, e.parts, letter_weight(CVEC, r, x))) != o.parts:
             raise NotInImage("odd steps do not match the embedding")
         b = rule.vacillating[key] = trim(halves[1])
     return b
@@ -169,7 +172,7 @@ def promote(t: TableauSeq) -> TableauSeq:
 
     A vacillating tableau is promoted as pr_O^2 of its oscillating embedding,
     whose word gives each vacillating letter two C-letters
-    (:func:`virtual.psi_vec`).  The states at the even positions of the
+    (:func:`virtual.embedded_word`).  The states at the even positions of the
     result are halved, and each odd one must be the embedding of its halves.
     """
     if t.weight != ():
@@ -183,8 +186,7 @@ def promote(t: TableauSeq) -> TableauSeq:
         steps = [s.partition for s in row]
     else:
         rule = _local_rule(OSCILLATING, r)
-        word = [x for b in step_letters(BVEC, r, t.steps) for x in psi_vec(b, r)]
-        _, word = _promote_row(rule, word)
+        _, word = _promote_row(rule, embedded_word(t, OSCILLATING))
         row, _ = _promote_row(rule, word)
         steps = [()]
         for k in range(0, len(row) - 1, 2):
@@ -198,8 +200,8 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
 
     ``M_VO`` and ``M_VF`` sum the 2x2 blocks of the promotion matrix of the
     embedding; the doubled-length fan filling puts 2(r-1) in every diagonal
-    block of ``M_VF``, which is taken off.  Each runs on its own embedding,
-    built on the padded steps of the already validated tableau.
+    block of ``M_VF``, which is taken off.  Each runs on its own embedded
+    word of the already validated tableau, so no embedded tableau is built.
     """
     family = CHORD_MAPS.get(tag)
     if family is None:
@@ -210,19 +212,16 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
         raise ValueError("promotion requires weight zero")
     r = t.rank
     if family != VACILLATING:
-        return _promotion_fill(family, r, t.steps)
-    steps = [pad(p, r) for p in t.steps]
+        return _promotion_fill(family, r, step_letters(FAMILY_KIND[family], r, t.steps))
     if tag == "M_VO":
-        return _promotion_fill(OSCILLATING, r, list(map(trim, _v_to_o_vectors(steps))), 2)
-    return _promotion_fill(FAN, r, list(map(trim, _v_to_f_vectors(steps))), 2, 2 * (r - 1))
+        return _promotion_fill(OSCILLATING, r, embedded_word(t, OSCILLATING), 2)
+    return _promotion_fill(FAN, r, embedded_word(t, FAN), 2, 2 * (r - 1))
 
 
-def _promotion_fill(
-    family: str, rank: int, steps: list[Partition], block: int = 1, shift: int = 0
-) -> Matrix:
+def _promotion_fill(family: str, rank: int, word, block: int = 1, shift: int = 0) -> Matrix:
     """Filling of the promotion matrix, cell (i, j) read off the sweep making pr^(i+1)(T).
 
-    ``steps`` are the canonical steps of a weight-zero tableau of ``family``.
+    ``word`` is the word of a weight-zero tableau of ``family``.
     For k = j - i mod n in 1..n-1 the cell is the table entry met at
     position k of row i.  On the diagonal lambda is empty, kappa the last
     inner step of pr^(i+1)(T) and nu the first step of pr^i(T); both are the
@@ -230,11 +229,10 @@ def _promotion_fill(
     Each fill is added into its ``block`` x ``block`` block of the result,
     whose diagonal starts at ``-shift``.
     """
-    n = len(steps) - 1
+    n = len(word)
     if n == 0:
         return ()
     rule = _local_rule(family, rank)
-    word = step_letters(rule.kind, rank, steps)
     zero, leave = rule.zero, rule.exit
     m = n // block
     out = [[0] * m for _ in range(m)]

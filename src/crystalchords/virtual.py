@@ -1,22 +1,28 @@
-"""Embeddings of the type-B crystals into tensor powers of the type-C vector crystal.
+"""Embeddings of the type-B crystals into tensor powers of type-C crystals.
 
-A spin letter maps to an r-letter C-word, a B-vector letter to a C-letter
-pair, and on tableaux these induce the three embeddings fan->oscillating,
-vacillating->oscillating and vacillating->fan.
+Each embedding is one letter map, in the table ``_LETTER_MAPS``:
+
+* :func:`psi_spin`, fan -> oscillating: a spin letter to r C-letters;
+* :func:`psi_vec`, vacillating -> oscillating: a B-vector letter to two
+  C-letters;
+* :func:`phi_vec`, vacillating -> fan: a B-vector letter to two spin letters.
+
+:func:`embedded_word` concatenates the images of a tableau's letters, and
+each tableau embedding is the tableau of that word.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
-
 from .crystals import (
-    CVEC,
+    FAMILY_KIND,
     FAN,
     OSCILLATING,
     VACILLATING,
     TableauSeq,
+    Word,
     cvec_order,
-    letter_weight,
+    step_letters,
+    word_to_tableau,
 )
 from .weights import WeightVec, pad, trim
 
@@ -44,67 +50,74 @@ def psi_vec(b: int, r: int) -> tuple:
     return (b, b)
 
 
+def phi_vec(b: int, r: int) -> tuple:
+    """Spin-letter pair (s_1, s_2) with s_1 the rightmost factor, as in :func:`psi_vec`.
+
+    i > 0 maps to (+1)^r, then +1 at i and -1 elsewhere; -i to -1 at i and +1
+    elsewhere, then (-1)^r; 0 to -1 at r and +1 elsewhere, then +1 at r and
+    -1 elsewhere.
+    """
+    i = abs(b) or r
+    up = tuple(1 if j == i else -1 for j in range(1, r + 1))  # +1 at i, -1 elsewhere
+    down = tuple(-s for s in up)
+    if b > 0:
+        return ((1,) * r, up)
+    if b < 0:
+        return (down, (-1,) * r)
+    return (down, up)
+
+
+# (source family, target family) -> the letter map of the embedding
+_LETTER_MAPS = {
+    (FAN, OSCILLATING): psi_spin,
+    (VACILLATING, OSCILLATING): psi_vec,
+    (VACILLATING, FAN): phi_vec,
+}
+
+
+def embedded_word(t: TableauSeq, target: str) -> list:
+    """Letters of the target family's crystal: the images of t's letters, in order.
+
+    A list: ``tuple()`` over a generator builds by resizing, which never
+    takes from CPython's free list of small tuples, while every freed word
+    of up to 20 letters is pushed onto it (up to 2000 of each length).
+    """
+    image = _LETTER_MAPS.get((t.family, target))
+    if image is None:
+        raise ValueError(f"no embedding for {(t.family, target)!r}")
+    r = t.rank
+    return [y for x in step_letters(FAMILY_KIND[t.family], r, t.steps) for y in image(x, r)]
+
+
+def _embed(t: TableauSeq, target: str) -> TableauSeq:
+    # the image word is highest weight, and word_to_tableau checks every step
+    word = tuple(embedded_word(t, target))
+    return word_to_tableau(Word._trusted(FAMILY_KIND[target], t.rank, word))
+
+
 def iota_f_to_o(f: TableauSeq) -> TableauSeq:
-    """Oscillating tableau of length r*n refining a fan one cell at a time."""
+    """Oscillating tableau of length r*n: each fan letter becomes its :func:`psi_spin` word."""
     if f.family != FAN:
         raise ValueError("expected a fan of Dyck paths")
-    r = f.rank
-    padded = [pad(p, r) for p in f.steps]
-    steps = [()]
-    for a, b in zip(padded, padded[1:]):
-        mu = a
-        for x in psi_spin(tuple(map(sub, b, a)), r):
-            mu = tuple(map(add, mu, letter_weight(CVEC, r, x)))
-            steps.append(trim(mu))
-    return TableauSeq(OSCILLATING, r, tuple(steps))
+    return _embed(f, OSCILLATING)
 
 
 def iota_v_to_o(v: TableauSeq) -> TableauSeq:
     """Oscillating tableau of twice the length; doubled corners at even positions."""
-    return _vac_embedding(v, OSCILLATING, _v_to_o_vectors)
+    return _vac_embedding(v, OSCILLATING)
 
 
 def iota_v_to_f(v: TableauSeq) -> TableauSeq:
     """Fan of twice the length; doubled corners at even positions."""
-    return _vac_embedding(v, FAN, _v_to_f_vectors)
+    return _vac_embedding(v, FAN)
 
 
-def _vac_embedding(v: TableauSeq, family: str, vectors) -> TableauSeq:
+def _vac_embedding(v: TableauSeq, family: str) -> TableauSeq:
     if v.family != VACILLATING:
         raise ValueError("expected a vacillating tableau")
     if v.weight != ():
         raise ValueError("embedding requires weight zero")
-    r = v.rank
-    steps = vectors([pad(p, r) for p in v.steps])
-    return TableauSeq(family, r, tuple(map(trim, steps)))
-
-
-def _v_to_o_vectors(steps: list[WeightVec]) -> list[WeightVec]:
-    """:func:`iota_v_to_o` on vacillating steps padded to the rank, giving padded steps.
-
-    Step k of the vacillating tableau becomes position 2k, doubled; between
-    steps a and b sits a + b, less e_r when a == b.
-    """
-    out = [steps[0]]
-    for a, b in zip(steps, steps[1:]):
-        odd = tuple(map(add, a, b))
-        out.append(odd[:-1] + (odd[-1] - 1,) if a == b else odd)
-        out.append(tuple(2 * x for x in b))
-    return out
-
-
-def _v_to_f_vectors(steps: list[WeightVec]) -> list[WeightVec]:
-    """:func:`iota_v_to_f` on vacillating steps padded to the rank, giving padded steps.
-
-    Step k of the vacillating tableau becomes position 2k, doubled; between
-    steps a and b sits 2 min(a, b) + 1, less 2 e_r when a == b.
-    """
-    out = [steps[0]]
-    for a, b in zip(steps, steps[1:]):
-        odd = tuple(2 * min(x, y) + 1 for x, y in zip(a, b))
-        out.append(odd[:-1] + (odd[-1] - 2,) if a == b else odd)
-        out.append(tuple(2 * x for x in b))
-    return out
+    return _embed(v, family)
 
 
 def _halve(mu: WeightVec) -> WeightVec:

@@ -527,6 +527,21 @@ def iota_f_to_o_by_letters(f: TableauSeq) -> TableauSeq:
     return TableauSeq(OSCILLATING, r, tuple(steps))
 
 
+def iota_v_to_o_by_cases(v: TableauSeq) -> TableauSeq:
+    """The vacillating->oscillating embedding: between steps p and q sits p + q, less e_r when p = q."""
+    r = v.rank
+    e_r = unit_vector(r, r)
+    steps = [()]
+    for p, q in zip(v.steps, v.steps[1:]):
+        pp, qq = pad(p, r), pad(q, r)
+        odd = vec_add(pp, qq)
+        if p == q:
+            odd = vec_sub(odd, e_r)
+        steps.append(trim(odd))
+        steps.append(trim(tuple(2 * x for x in qq)))
+    return TableauSeq(OSCILLATING, r, tuple(steps))
+
+
 def iota_v_to_f_by_cases(v: TableauSeq) -> TableauSeq:
     """The vacillating->fan embedding, one case per kind of vacillating step."""
     r = v.rank

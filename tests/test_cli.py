@@ -141,6 +141,20 @@ def test_promote_input_rejects_malformed_json(tmp_path, capsys, value, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["promote", "chord", "growth"])
+def test_a_zero_rank_is_not_taken_as_unset(capsys, command):
+    """--r 0 is a rank, and an invalid one; it is not inferred from the compact form."""
+    code, out, err = run(capsys, command, "--family", "osc", "--r", "0", "--tableau", "00,10,00")
+    assert (code, out, err) == (2, "", "error: rank must be positive\n")
+
+
+def test_promote_rejects_a_negative_step_count(capsys):
+    code, out, err = run(capsys, "promote", "--family", "osc", "--tableau", "00,10,00", "--steps", "-3")
+    assert (code, out, err) == (2, "", "error: --steps must be at least 0\n")
+    code, out, _ = run(capsys, "promote", "--family", "osc", "--tableau", "00,10,00", "--steps", "0")
+    assert (code, out) == (0, "00,10,00\n")
+
+
 def test_csp_exit_codes(capsys):
     code, out, _ = run(capsys, "csp", "--family", "fan", "--r", "2", "--n", "4", "--poly", "f")
     assert code == 0 and json.loads(out)["holds"] is True

@@ -476,7 +476,7 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
 
 
 def test_vacillating_chord_maps_build_no_validating_embedding(monkeypatch):
-    """M_VO and M_VF run on the padded embeddings of the validated input; the
+    """M_VO and M_VF run on the embedded words of the validated input; the
     public embeddings, which validate, are never called."""
     from crystalchords import virtual
 

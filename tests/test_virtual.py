@@ -16,11 +16,13 @@ from crystalchords.crystals import (
 )
 from crystalchords.virtual import (
     NotInImage,
+    embedded_word,
     iota_f_to_o,
     iota_f_to_o_inverse,
     iota_inverse,
     iota_v_to_f,
     iota_v_to_o,
+    phi_vec,
     psi_spin,
     psi_vec,
 )
@@ -32,7 +34,9 @@ from oracles import (
     bvec_word_image,
     iota_f_to_o_by_letters,
     iota_v_to_f_by_cases,
+    iota_v_to_o_by_cases,
     spin_word_image,
+    tensor_apply,
     virtual_apply,
 )
 
@@ -53,6 +57,16 @@ def test_psi_vec_examples():
     assert psi_vec(1, 2) == (1, 1)
     assert psi_vec(0, 2) == (-2, 2)
     assert psi_vec(-2, 2) == (-2, -2)
+
+
+def test_phi_vec_examples():
+    assert [phi_vec(b, 1) for b in (1, 0, -1)] == [((1,), (1,)), ((-1,), (1,)), ((-1,), (-1,))]
+    assert phi_vec(2, 2) == ((1, 1), (-1, 1))
+    assert phi_vec(0, 2) == ((1, -1), (-1, 1))
+    assert phi_vec(-1, 2) == ((-1, 1), (-1, -1))
+    assert phi_vec(1, 3) == ((1, 1, 1), (1, -1, -1))
+    assert phi_vec(0, 3) == ((1, 1, -1), (-1, -1, 1))
+    assert phi_vec(-2, 3) == ((1, -1, 1), (-1, -1, -1))
 
 
 def test_iota_f_to_o_small():
@@ -152,6 +166,22 @@ def test_psi_vec_intertwines_operators(r):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_phi_vec_intertwines_operators(r):
+    """phi_vec is a crystal embedding into spin (x) spin: every operator acts once."""
+    for b in letters(BVEC, r):
+        image = _word(SPIN, r, phi_vec(b, r))
+        for i in range(1, r + 1):
+            for direction in (LOWER, RAISE):
+                moved = apply_letter_op(BVEC, r, i, direction, b)
+                out = tensor_apply(image, i, direction)
+                if moved is None:
+                    assert out is None
+                else:
+                    assert out is not None
+                    assert out.letters == phi_vec(moved, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_virtual_closure(r):
     spin_images = {psi_spin(eps, r) for eps in letters(SPIN, r)}
     vec_images = {psi_vec(b, r) for b in letters(BVEC, r)}
@@ -200,10 +230,27 @@ def test_iota_v_to_o_matches_word_concatenation(r, nmax):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_embeddings_on_padded_vectors_match_their_stepwise_definitions(r):
-    """iota_f_to_o adds letter weights and iota_v_to_f has one case per step kind."""
+    """iota_f_to_o adds letter weights, and iota_v_to_o and iota_v_to_f have one case
+    per step kind."""
     for n in range(8 + 1):
         for f in enumerate_zero(FAN, r, n):
             assert iota_f_to_o(f) == iota_f_to_o_by_letters(f), f
     for n in range(7 + 1):
         for v in enumerate_zero(VACILLATING, r, n):
+            assert iota_v_to_o(v) == iota_v_to_o_by_cases(v), v
             assert iota_v_to_f(v) == iota_v_to_f_by_cases(v), v
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_embedded_word_is_the_word_of_each_oracle_embedding(r):
+    cases = [
+        (FAN, OSCILLATING, iota_f_to_o_by_letters),
+        (VACILLATING, OSCILLATING, iota_v_to_o_by_cases),
+        (VACILLATING, FAN, iota_v_to_f_by_cases),
+    ]
+    for source, target, oracle in cases:
+        for n in range(7 + 1):
+            for t in enumerate_zero(source, r, n):
+                assert embedded_word(t, target) == list(tableau_to_word(oracle(t)).letters), t
+    with pytest.raises(ValueError, match=r"^no embedding for \('fan', 'vacillating'\)$"):
+        embedded_word(tableau(FAN, 1, [()]), VACILLATING)
