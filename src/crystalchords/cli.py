@@ -75,19 +75,26 @@ def _family(name: str) -> str:
 
 
 def _load_tableau(args) -> TableauSeq:
+    family = _family(args.family) if args.family else None
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            return parse_tableau(json.load(fh))
-    if not args.tableau:
+            t = parse_tableau(json.load(fh))
+    elif not args.tableau:
         raise UsageError("provide --tableau or --input")
-    family = _family(args.family) if args.family else None
-    text = args.tableau.strip()
-    if text.startswith("{"):
-        return parse_tableau(json.loads(text))
-    if family is None:
+    elif args.tableau.strip().startswith("{"):
+        t = parse_tableau(json.loads(args.tableau))
+    elif family is None:
         raise UsageError("compact tableau form needs --family")
-    rank = args.r if args.r is not None else len(text.split(",")[0])
-    return parse_tableau(text, family, rank)
+    else:
+        text = args.tableau.strip()
+        rank = args.r if args.r is not None else len(text.split(",")[0])
+        return parse_tableau(text, family, rank)
+    # a JSON tableau names its own family and rank; the options may only agree
+    if family is not None and family != t.family:
+        raise UsageError(f"--family {args.family} contradicts the tableau's family {t.family}")
+    if args.r is not None and args.r != t.rank:
+        raise UsageError(f"--r {args.r} contradicts the tableau's rank {t.rank}")
+    return t
 
 
 def _emit_tableau(t: TableauSeq, fmt: str) -> str:

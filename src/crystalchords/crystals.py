@@ -177,21 +177,40 @@ def validate_tableau(t: TableauSeq) -> None:
         raise ValueError(f"rank must be an int, not {type(t.rank).__name__}")
     if t.rank < 1:
         raise ValueError("rank must be positive")
-    if not t.steps or t.steps[0] != ():
+    steps = t.steps
+    if not steps or steps[0] != ():
         raise ValueError("step sequence must start at the empty partition")
-    for p in t.steps:
-        if not (
-            isinstance(p, tuple)
-            and _INT.issuperset(map(type, p))
-            and is_partition(p)
-            and (not p or p[-1] != 0)
-        ):
+    r = t.rank
+    known = _valid_partitions(r)
+    for p in steps:
+        # the exact type of every part is tested on every call, never memoised:
+        # True and 1.0 hash and compare as 1
+        if not (isinstance(p, tuple) and _INT.issuperset(map(type, p))):
             raise ValueError(f"{p!r} is not a canonical partition")
-        if len(p) > t.rank:
-            raise ValueError(f"{p} has more than {t.rank} parts")
-    padded = [p + (0,) * (t.rank - len(p)) for p in t.steps]
-    for a, b in zip(padded, padded[1:]):
-        check_step(t.family, a, b)
+        if p not in known:
+            if not is_partition(p) or p and p[-1] == 0:
+                raise ValueError(f"{p!r} is not a canonical partition")
+            if len(p) > r:
+                raise ValueError(f"{p} has more than {r} parts")
+            known.add(p)
+    allowed = _valid_steps(t.family, r)
+    for step in zip(steps, steps[1:]):
+        if step not in allowed:
+            a, b = step
+            check_step(t.family, a + (0,) * (r - len(a)), b + (0,) * (r - len(b)))
+            allowed.add(step)
+
+
+@cache
+def _valid_partitions(r: int) -> set[Partition]:
+    """Canonical partitions of int parts with at most r parts, added as they pass."""
+    return set()
+
+
+@cache
+def _valid_steps(family: str, r: int) -> set[tuple[Partition, Partition]]:
+    """Pairs of canonical partitions the family allows as a step at rank r, added as they pass."""
+    return set()
 
 
 _UNIT_MOVES = frozenset((1, -1))

@@ -18,13 +18,15 @@ behind the 0/1 cell check: adjacent corners must be equal or differ by one
 box, and a filling of 1 needs gamma = delta = alpha.  On such cells Fomin's
 0/1 rules are the RSK rules, so they are not stated a second time.
 
-The sweeps run on one lazily filled table per rule set and direction
-(``_TABLES``): backward maps (beta, delta, alpha) to (gamma, m), forward maps
-(gamma, delta, alpha, m) to beta.  Corners are canonical partitions, so a
-key needs no rank.  A missing key calls the raw rule, and only a value the
-rule returned is stored: every adjacency, strip and filling check still runs
+The sweeps walk the diagram as a transducer over interned vertical edges
+(top corner, bottom corner), one set per rule set and direction
+(:func:`_edges`).  A backward edge (NE, SE) maps a cell's NW corner to
+(next edge (NW, SW), SW, m); a forward edge (NW, SW) maps (SE, m) to
+(next edge (NE, SE), NE).  Corners are canonical partitions, so no key needs
+a rank.  A missing key calls the raw rule, and only a value the rule
+returned is stored: every adjacency, strip and filling check still runs
 once on each distinct cell, and a rejected cell is never stored, so it
-raises the rule's message every time it is met.  The tables memoise the
+raises the rule's message every time it is met.  The edges memoise the
 local rules only and share nothing with the promotion route.
 
 Triangular diagrams use corners alpha[i][j] for 0 <= j <= i <= n laid out
@@ -33,19 +35,20 @@ downwards), the left column alpha[i][0] and bottom row alpha[n][j] empty,
 and cell (i, j), 1 <= j < i <= n, having NW = alpha[i-1][j-1],
 NE = alpha[i-1][j], SW = alpha[i][j-1], SE = alpha[i][j].  In the cell
 labelling above this reads alpha=NW, beta=NE, gamma=SW, delta=SE.  The
-sweeps hold the corners as diagonal lists: diagonal d lists alpha[j+d][j]
-for j = 0..n-d, so cell (j+d, j) reads beta from diagonal d-1 at j, delta
-and alpha from diagonal d at j and j-1, and gamma from diagonal d+1 at j-1.
-The backward sweep builds diagonal d+1 from diagonals d-1 and d; the forward
-sweep builds diagonal d-1 from diagonals d and d+1.
+backward sweep builds row i from right to left out of row i - 1: a table
+per family keyed by the pair of steps i - 1 and i (:func:`_seeds`) gives the
+row's starting edge (alpha[i-1][i-1], alpha[i][i-1]), its hypotenuse label
+(doubled for vacillating tableaux) and its first-subdiagonal label, and
+each cell is then one lookup of alpha[i-1][j-1] in the current edge.  The
+forward sweep builds row i - 1 from left to right out of row i, from the
+bottom row up, starting each row on the edge ((), ()) of the left column.
 """
 
 from __future__ import annotations
 
-from itertools import count
-from operator import getitem
+from functools import cache
 
-from .crystals import FAN, OSCILLATING, VACILLATING, TableauSeq, _Table
+from .crystals import _INT, FAN, OSCILLATING, VACILLATING, TableauSeq, _Table
 from .weights import Partition, partition
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -248,61 +251,142 @@ _RULES = {
 _FAMILY_RULE = {OSCILLATING: "zero_one", FAN: "burge", VACILLATING: "rsk"}
 
 
-# rule name -> (forward, backward) tables, filled as the sweeps meet new cells
-_TABLES = {
-    name: (_Table(forward), _Table(backward))
-    for name, (forward, backward) in _RULES.items()
-}
+class _Edge(dict):
+    """A vertical edge (top corner, bottom corner), holding its own row of one rule's table.
+
+    Edges are interned per rule set and direction (:class:`_Edges`), so they
+    compare and hash by identity.  A key missing from the row is computed by
+    the raw local rule, and only a value the rule returned is stored.
+    """
+
+    __slots__ = ("edges", "top", "bottom")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, edges: _Edges, top: Partition, bottom: Partition):
+        super().__init__()
+        self.edges = edges
+        self.top = top
+        self.bottom = bottom
 
 
-def _seed_diagonals(t: TableauSeq) -> tuple[list[Partition], list[Partition]]:
-    """Hypotenuse and first subdiagonal labels of the triangular diagram."""
-    steps = t.steps
-    if t.family != VACILLATING:
-        return list(steps), [_meet(p, q) for p, q in zip(steps, steps[1:])]
-    hypotenuse = [tuple(2 * x for x in mu) for mu in steps]
-    sub = [
-        _remove_box(a, len(a)) if p == q else _meet(a, b)
-        for p, q, a, b in zip(steps, steps[1:], hypotenuse, hypotenuse[1:])
-    ]
-    return hypotenuse, sub
+class _BackwardEdge(_Edge):
+    """The edge (NE, SE) of a cell; its NW corner gives (edge (NW, SW), SW, m)."""
+
+    __slots__ = ()
+
+    def __missing__(self, alpha: Partition) -> tuple[_Edge, Partition, int]:
+        edges = self.edges
+        gamma, m = edges.rule(self.top, self.bottom, alpha)
+        entry = self[alpha] = (edges[alpha, gamma], gamma, m)
+        return entry
+
+
+class _ForwardEdge(_Edge):
+    """The edge (NW, SW) of a cell; its SE corner and filling give (edge (NE, SE), NE)."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[Partition, int]) -> tuple[_Edge, Partition]:
+        delta, m = key
+        edges = self.edges
+        beta = edges.rule(self.bottom, delta, self.top, m)
+        entry = self[key] = (edges[beta, delta], beta)
+        return entry
+
+
+class _Edges(dict):
+    """The interned edges of one rule set and direction, keyed by (top, bottom)."""
+
+    __slots__ = ("rule", "edge")
+
+    def __init__(self, rule, edge: type[_Edge]):
+        super().__init__()
+        self.rule = rule
+        self.edge = edge
+
+    def __missing__(self, key: tuple[Partition, Partition]) -> _Edge:
+        e = self[key] = self.edge(self, *key)
+        return e
+
+
+@cache
+def _edges(rule: str, forward: bool) -> _Edges:
+    """The edges of a rule set's forward or backward sweep, filled as the sweeps meet them."""
+    if forward:
+        return _Edges(_RULES[rule][0], _ForwardEdge)
+    return _Edges(_RULES[rule][1], _BackwardEdge)
+
+
+@cache
+def _seeds(family: str) -> _Table:
+    """Per step pair (p, q): row i's starting edge, hypotenuse label and first-subdiagonal label.
+
+    p and q are steps i - 1 and i.  Vacillating labels are doubled, and a
+    repeated step removes a box from the last row of the doubled label.
+    """
+    edges = _edges(_FAMILY_RULE[family], False)
+
+    def seed(p: Partition, q: Partition) -> tuple[_Edge, Partition, Partition]:
+        if family == VACILLATING:
+            repeat = p == q
+            p, q = tuple(2 * x for x in p), tuple(2 * x for x in q)
+            sub = _remove_box(p, len(p)) if repeat else _meet(p, q)
+        else:
+            sub = _meet(p, q)
+        return edges[p, sub], q, sub
+
+    return _Table(seed)
 
 
 def _backward_sweep(t: TableauSeq) -> tuple[list[list[Partition]], list[list[int]]]:
-    """Solve every cell by increasing diagonal; the diagonals and the symmetric filling."""
+    """Solve the diagram row by row; each row's corners and fillings, right to left.
+
+    Row i lists the corners (i, i), (i, i - 1), ..., (i, 0) and the fillings
+    of cells (i, i - 1), ..., (i, 1).
+    """
     if t.weight != ():
         raise ValueError("growth diagrams require weight zero")
-    backward = _TABLES[_FAMILY_RULE[t.family]][1]
-    n = len(t)
-    rows = [[0] * n for _ in range(n)]
-    diagonals = list(_seed_diagonals(t))
-    upper, cur = diagonals
-    for d in range(1, n):
-        nxt = []
+    seeds = _seeds(t.family)
+    steps = t.steps
+    row = [()]
+    rows = [row]
+    fills = [[]]
+    for pair in zip(steps, steps[1:]):
+        s, hypotenuse, sub = seeds[pair]
+        nxt = [hypotenuse, sub]
         push = nxt.append
-        # cell (j + d + 1, j + 1): beta, delta, alpha
-        for j, key in enumerate(zip(upper[1:], cur[1:], cur)):
-            gamma, m = backward[key]
+        ms = []
+        keep = ms.append
+        # cell (i, j) for j = i - 1, ..., 1 reads its NW corner (i - 1, j - 1)
+        for alpha in row[1:]:
+            s, gamma, m = s[alpha]
             push(gamma)
-            if m:
-                rows[j + d][j] = rows[j][j + d] = m
-        diagonals.append(nxt)
-        upper, cur = cur, nxt
-    return diagonals, rows
+            keep(m)
+        rows.append(nxt)
+        fills.append(ms)
+        row = nxt
+    return rows, fills
 
 
 def growth_corners(t: TableauSeq) -> dict[tuple[int, int], Partition]:
     """All corner labels of the triangular growth diagram of a weight-zero tableau."""
-    diagonals, _ = _backward_sweep(t)
-    return {(j + d, j): p for d, diagonal in enumerate(diagonals) for j, p in enumerate(diagonal)}
+    rows, _ = _backward_sweep(t)
+    return {(i, i - k): p for i, row in enumerate(rows) for k, p in enumerate(row)}
 
 
 def growth_matrix(family: str, t: TableauSeq) -> Matrix:
     """Symmetric chord matrix read off a backward growth sweep."""
     if t.family != family:
         raise ValueError(f"expected a {family} tableau")
-    _, rows = _backward_sweep(t)
-    return tuple(map(tuple, rows))
+    _, fills = _backward_sweep(t)
+    n = len(t)
+    flat = [0] * (n * n)
+    # row a + 1 of cells fills matrix row a leftwards from the diagonal, and column a upwards
+    for a, ms in enumerate(fills[2:], start=1):
+        flat[a * n + a - 1 : a * n - 1 : -1] = ms
+        flat[(a - 1) * n + a :: -n] = ms
+    return tuple(zip(*[iter(flat)] * n))
 
 
 def lower_triangle_rows(m: Matrix) -> list[list[int]]:
@@ -322,33 +406,35 @@ def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> Tableau
     if _FAMILY_RULE.get(family) != rule:
         raise ValueError(f"rule {rule!r} does not build {family} tableaux")
     for i, row in enumerate(triangle, start=1):
-        if len(row) != i or not all(type(x) is int and x >= 0 for x in row):
+        if len(row) != i or not _INT.issuperset(map(type, row)) or min(row) < 0:
             raise ValueError(f"triangle row {i} must hold {i} non-negative integers")
-    forward = _TABLES[rule][0]
     # an empty triangle encodes the empty tableau (length 1 has no weight-zero members)
-    n = len(triangle) + 1 if triangle else 0
-    # diagonals n + 1 and n; each new diagonal starts on the left column
-    # and ends on the bottom row, both empty
-    lower, cur = [], [()]
-    try:
-        for d in range(n, 0, -1):
-            nxt = [()]
-            push = nxt.append
-            # cell (j + d + 1, j + 1): gamma, delta, alpha and its filling give beta
-            fills = map(getitem, triangle[d - 1 :], count())
-            for key in zip(lower, cur[1:], cur, fills):
-                push(forward[key])
-            push(())
-            lower, cur = cur, nxt
-    except ValueError as exc:
-        raise InvalidOutput(str(exc)) from exc
-    hypotenuse = cur
+    hypotenuse = [()]
+    if triangle:
+        start = _edges(rule, True)[(), ()]
+        # the bottom row n is empty; row i - 1 is built from row i left to right,
+        # cell (i, j) reading its SE corner (i, j) and the filling triangle[i - 2][j - 1]
+        row = [()] * (len(triangle) + 2)
+        try:
+            for fills in reversed(triangle):
+                s = start
+                nxt = [()]
+                push = nxt.append
+                for key in zip(row[1:], fills):
+                    s, beta = s[key]
+                    push(beta)
+                hypotenuse.append(beta)
+                row = nxt
+        except ValueError as exc:
+            raise InvalidOutput(str(exc)) from exc
+        hypotenuse.append(())
+        hypotenuse.reverse()
     try:
         if family == VACILLATING:
-            odd = [mu for mu in hypotenuse if any(x % 2 for x in mu)]
-            if odd:
-                raise ValueError(f"hypotenuse label {odd[0]} is not doubled")
-            hypotenuse = [tuple(x // 2 for x in mu) for mu in hypotenuse]
+            if any(x & 1 for mu in hypotenuse for x in mu):
+                odd = next(mu for mu in hypotenuse if any(x & 1 for x in mu))
+                raise ValueError(f"hypotenuse label {odd} is not doubled")
+            hypotenuse = [tuple([x >> 1 for x in mu]) for mu in hypotenuse]
         t = TableauSeq(family, _infer_rank(family, hypotenuse), tuple(hypotenuse))
     except ValueError as exc:
         raise InvalidOutput(str(exc)) from exc
@@ -358,7 +444,7 @@ def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> Tableau
 
 
 def _infer_rank(family: str, steps) -> int:
-    longest = max((len(p) for p in steps), default=0)
+    longest = max(map(len, steps), default=0)
     if family == FAN:
         # every coordinate moves each step, so the rank is forced by step 1
         return max(len(steps[1]), 1) if len(steps) > 1 else max(longest, 1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .crystals import (
@@ -335,23 +335,29 @@ def orbit_decomposition(
     from some t into a cycle that misses t: such a walk would go on forever,
     so it is cut once the orbit would outgrow the set.
     """
-    seen: set[TableauSeq] = set()
+    # plain tuples hash and compare in C; the frozen dataclass's own
+    # __hash__ and __eq__ are Python functions that rebuild this tuple each call
+    key = attrgetter("family", "rank", "steps")
+    seen: set[tuple] = set()
     orbits = []
-    universe = set(elements)
+    universe = set(map(key, elements))
     for t in elements:
-        if t in seen:
+        k = key(t)
+        if k in seen:
             continue
-        orbit = [t]
+        orbit = [k]
         cur = action(t)
-        while cur != t:
-            if cur not in universe:
+        c = key(cur)
+        while c != k:
+            if c not in universe:
                 raise ValueError(f"action leaves the set on {t}")
             if len(orbit) == len(universe):
                 raise ValueError(
                     f"action does not return to {t} within {len(universe)} steps"
                 )
-            orbit.append(cur)
+            orbit.append(c)
             cur = action(cur)
+            c = key(cur)
         seen.update(orbit)
         if order % len(orbit):
             raise ValueError(

@@ -148,6 +148,39 @@ def test_a_zero_rank_is_not_taken_as_unset(capsys, command):
     assert (code, out, err) == (2, "", "error: rank must be positive\n")
 
 
+OSC_JSON = json.dumps({"family": "oscillating", "r": 2, "steps": [[], [1], []]})
+
+
+@pytest.mark.parametrize("command", ["promote", "chord", "growth"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--family", "fan"), "--family fan contradicts the tableau's family oscillating"),
+        (("--r", "3"), "--r 3 contradicts the tableau's rank 2"),
+        (("--r", "0"), "--r 0 contradicts the tableau's rank 2"),
+        (("--family", "osc", "--r", "1"), "--r 1 contradicts the tableau's rank 2"),
+    ],
+    ids=["family", "rank", "zero-rank", "agreeing-family-wrong-rank"],
+)
+def test_a_json_tableau_contradicting_the_options_is_a_usage_error(
+    tmp_path, capsys, command, options, message
+):
+    path = tmp_path / "osc.json"
+    path.write_text(OSC_JSON)
+    for source in (("--tableau", OSC_JSON), ("--input", str(path))):
+        code, out, err = run(capsys, command, *options, *source)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), source
+
+
+def test_a_json_tableau_agreeing_with_the_options_or_without_them_works(tmp_path, capsys):
+    path = tmp_path / "osc.json"
+    path.write_text(OSC_JSON)
+    for source in (("--tableau", OSC_JSON), ("--input", str(path))):
+        for options in ((), ("--family", "osc"), ("--r", "2"), ("--family", "oscillating", "--r", "2")):
+            code, out, err = run(capsys, "promote", *options, *source)
+            assert (code, out, err) == (0, "00,10,00\n", ""), (source, options)
+
+
 def test_promote_rejects_a_negative_step_count(capsys):
     code, out, err = run(capsys, "promote", "--family", "osc", "--tableau", "00,10,00", "--steps", "-3")
     assert (code, out, err) == (2, "", "error: --steps must be at least 0\n")

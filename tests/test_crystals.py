@@ -160,6 +160,63 @@ def test_tableau_takes_int_ranks_and_parts_only(rank, steps, message):
     assert str(exc.value) == message
 
 
+def test_remembered_steps_still_test_the_type_of_every_part():
+    """Validation remembers the partitions and steps that passed, but True and
+    1.0 hash and compare as 1, so the exact int test still runs on every call."""
+    from crystalchords.crystals import _valid_partitions, _valid_steps
+
+    TableauSeq(FAN, 2, ((), (1, 1), ()))
+    assert (1, 1) in _valid_partitions(2) and ((), (1, 1)) in _valid_steps(FAN, 2)
+    for steps, message in [
+        (((), (True, True), ()), "(True, True) is not a canonical partition"),
+        (((), (1.0, 1), ()), "(1.0, 1) is not a canonical partition"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                TableauSeq(FAN, 2, steps)
+            assert str(exc.value) == message
+
+
+def test_rejected_partitions_and_steps_raise_every_time_and_are_never_stored():
+    from crystalchords.crystals import _valid_partitions, _valid_steps
+
+    # (family, rank, steps, message, the table and the entry it must not hold)
+    cases = [
+        (FAN, 2, ((), (1, 2), ()), "(1, 2) is not a canonical partition", _valid_partitions(2), (1, 2)),
+        (
+            FAN,
+            2,
+            ((), (1, 1, 0), ()),
+            "(1, 1, 0) is not a canonical partition",
+            _valid_partitions(2),
+            (1, 1, 0),
+        ),
+        (FAN, 1, ((), (1, 1), ()), "(1, 1) has more than 1 parts", _valid_partitions(1), (1, 1)),
+        (
+            FAN,
+            2,
+            ((), (1,), ()),
+            "fan step () -> (1,) must change every part by one",
+            _valid_steps(FAN, 2),
+            ((), (1,)),
+        ),
+        (
+            VACILLATING,
+            2,
+            ((), (1,), (1,), ()),
+            "vacillating step may repeat (1,) only with all 2 parts positive",
+            _valid_steps(VACILLATING, 2),
+            ((1,), (1,)),
+        ),
+    ]
+    for family, r, steps, message, table, entry in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                TableauSeq(family, r, steps)
+            assert str(exc.value) == message
+            assert entry not in table
+
+
 def fan_count_formula(n: int, r: int) -> int:
     """Product formula for the number of r-fans of length 2n."""
     value = Fraction(1)

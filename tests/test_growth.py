@@ -509,15 +509,20 @@ def test_backward_carry_reports_strips_before_gamma():
 
 
 @pytest.mark.parametrize(
-    "family, rmax, lengths",
-    [(OSCILLATING, 3, range(0, 9, 2)), (FAN, 3, range(0, 7, 2)), (VACILLATING, 3, range(8))],
-    ids=["osc", "fan", "vac"],
+    "family, ranks, lengths",
+    [
+        (OSCILLATING, range(1, 4), range(0, 9, 2)),
+        (OSCILLATING, (4,), (8,)),
+        (FAN, range(1, 4), range(0, 7, 2)),
+        (VACILLATING, range(1, 4), range(8)),
+    ],
+    ids=["osc", "osc-r4-n8", "fan", "vac"],
 )
-def test_growth_corners_match_the_cell_by_cell_sweep(family, rmax, lengths):
+def test_growth_corners_match_the_cell_by_cell_sweep(family, ranks, lengths):
     from oracles import growth_sweep_by_cells
 
     count = 0
-    for r in range(1, rmax + 1):
+    for r in ranks:
         for n in lengths:
             for t in enumerate_zero(family, r, n):
                 corners, fill = growth_sweep_by_cells(t)
@@ -531,52 +536,70 @@ def test_growth_corners_match_the_cell_by_cell_sweep(family, rmax, lengths):
 
 
 def test_growth_table_entries_equal_the_raw_rules():
-    """After sweeps in both directions, every stored entry is what a fresh call
-    of the raw rule returns on its key."""
-    from crystalchords.growth import _FAMILY_RULE, _RULES, _TABLES
+    """After sweeps in both directions, every stored entry of every edge is what
+    a fresh call of the raw rule returns on its cell, and leads to the interned
+    edge that the rule's output makes."""
+    from crystalchords.growth import _FAMILY_RULE, _RULES, _edges
 
     for family, r, n in ((OSCILLATING, 3, 8), (FAN, 3, 6), (VACILLATING, 2, 6)):
         rule = _FAMILY_RULE[family]
         for t in enumerate_zero(family, r, n):
             growth_inverse(rule, lower_triangle_rows(growth_matrix(family, t)), family)
-    for name, (forward, backward) in _TABLES.items():
-        raw_forward, raw_backward = _RULES[name]
-        assert forward and backward, name
-        for key, beta in forward.items():
-            assert len(key) == 4 and type(key[3]) is int, (name, key)
-            assert raw_forward(*key) == beta, (name, key)
-        for key, value in backward.items():
-            assert raw_backward(*key) == value, (name, key)
+    for name, (raw_forward, raw_backward) in _RULES.items():
+        forward, backward = _edges(name, True), _edges(name, False)
+        assert any(forward.values()) and any(backward.values()), name
+        for (top, bottom), edge in forward.items():
+            assert (edge.top, edge.bottom) == (top, bottom), name
+            for key, (nxt, beta) in edge.items():
+                delta, m = key
+                assert type(m) is int, (name, key)
+                # the edge is (NW, SW) = (alpha, gamma)
+                assert raw_forward(bottom, delta, top, m) == beta, (name, top, bottom, key)
+                assert nxt is forward.get((beta, delta)), (name, top, bottom, key)
+        for (top, bottom), edge in backward.items():
+            assert (edge.top, edge.bottom) == (top, bottom), name
+            for alpha, (nxt, gamma, m) in edge.items():
+                # the edge is (NE, SE) = (beta, delta)
+                assert raw_backward(top, bottom, alpha) == (gamma, m), (name, top, bottom, alpha)
+                assert nxt is backward.get((alpha, gamma)), (name, top, bottom, alpha)
 
 
 def test_rejected_growth_cell_raises_every_time_and_is_never_stored():
-    from crystalchords.growth import _TABLES
+    from crystalchords.growth import _edges
 
+    # (rule, forward?, edge (top, bottom), key, message); a forward edge is
+    # (alpha, gamma) keyed by (delta, m), a backward edge (beta, delta) keyed by alpha
     cases = [
-        (_TABLES["zero_one"][0], ((), (1,), (), 1), "a 1 requires equal gamma, delta, alpha"),
-        (_TABLES["zero_one"][0], ((), (), (), 2), "zero_one filling must be 0 or 1"),
+        ("zero_one", True, ((), ()), ((1,), 1), "a 1 requires equal gamma, delta, alpha"),
+        ("zero_one", True, ((), ()), ((), 2), "zero_one filling must be 0 or 1"),
         (
-            _TABLES["zero_one"][1],
-            ((2,), (), ()),
+            "zero_one",
+            False,
+            ((2,), ()),
+            (),
             "zero_one cell: () -> (2,) must be equal or add one box",
         ),
-        (_TABLES["burge"][1], ((2,), (), ()), "burge cell needs vertical strips under beta"),
-        (_TABLES["burge"][0], ((), (2,), (), 0), "burge cell needs vertical strips over gamma"),
-        (_TABLES["rsk"][1], ((1, 1), (), ()), "rsk cell needs horizontal strips under beta"),
-        (_TABLES["rsk"][0], ((), (1, 1), (), 0), "rsk cell needs horizontal strips over gamma"),
+        ("burge", False, ((2,), ()), (), "burge cell needs vertical strips under beta"),
+        ("burge", True, ((), ()), ((2,), 0), "burge cell needs vertical strips over gamma"),
+        ("rsk", False, ((1, 1), ()), (), "rsk cell needs horizontal strips under beta"),
+        ("rsk", True, ((), ()), ((1, 1), 0), "rsk cell needs horizontal strips over gamma"),
     ]
-    for table, key, message in cases:
+    for rule, forward, corners, key, message in cases:
+        edges = _edges(rule, forward)
+        edge = edges[corners]
+        before = len(edges)
         for _ in range(2):
             with pytest.raises(ValueError) as info:
-                table[key]
+                edge[key]
             assert str(info.value) == message
-            assert key not in table
+            assert key not in edge
+            assert len(edges) == before
     # the same cell met inside a forward sweep, twice
     for _ in range(2):
         with pytest.raises(InvalidOutput) as info:
             growth_inverse("zero_one", [[1], [1, 0]], OSCILLATING)
         assert str(info.value) == "a 1 requires equal gamma, delta, alpha"
-        assert ((), (1,), (), 1) not in _TABLES["zero_one"][0]
+        assert ((1,), 1) not in _edges("zero_one", True)[(), ()]
 
 
 @pytest.mark.parametrize(
@@ -594,3 +617,12 @@ def test_growth_inverse_reports_rejected_cells_as_invalid_output(triangle, messa
         growth_inverse("zero_one", triangle, OSCILLATING)
     assert str(info.value) == message
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_growth_inverse_rejects_a_vacillating_hypotenuse_that_is_not_doubled():
+    # the RSK cell with filling 1 under empty corners grows the label (1,)
+    for _ in range(2):
+        with pytest.raises(InvalidOutput) as info:
+            growth_inverse("rsk", [[1]], VACILLATING)
+        assert str(info.value) == "hypotenuse label (1,) is not doubled"
+    assert growth_inverse("rsk", [[2]], VACILLATING).steps == ((), (1,), ())

@@ -10,6 +10,7 @@ from crystalchords.crystals import (
     OSCILLATING,
     SPIN,
     VACILLATING,
+    TableauSeq,
     Word,
     enumerate_zero,
     letters,
@@ -17,6 +18,7 @@ from crystalchords.crystals import (
     tableau_to_word,
 )
 from crystalchords.fixtures import F42_FAN, F62_FAN, F72_VAC, G22, G32, H72
+from crystalchords.promotion import promote
 from crystalchords.sieving import (
     csp_check,
     descent_major,
@@ -281,6 +283,19 @@ def test_orbit_decomposition_stops_when_the_action_misses_its_start():
     # one cycle through the whole set is the longest orbit that still closes
     step = {t: els[(k + 1) % len(els)] for k, t in enumerate(els)}
     assert orbit_decomposition(els, len(els), action=step.__getitem__).sizes == (len(els),)
+
+
+def test_orbit_decomposition_reports_an_action_that_leaves_the_set():
+    """Orbits are keyed by (family, rank, steps): a trusted and a validated copy
+    of a tableau are one element, and an element outside the set is reported."""
+    els = enumerate_zero(OSCILLATING, 2, 4)
+    copies = {t: TableauSeq(t.family, t.rank, t.steps) for t in els}
+    assert orbit_decomposition(els, 4, action=lambda t: copies[promote(t)]).sizes == (
+        orbit_decomposition(els, 4).sizes
+    )
+    outside = enumerate_zero(OSCILLATING, 2, 2)[0]
+    with pytest.raises(ValueError, match=f"^action leaves the set on {re.escape(repr(els[0]))}$"):
+        orbit_decomposition(els, 4, action=lambda t: outside)
 
 
 @pytest.mark.parametrize("family", [OSCILLATING, FAN])
