@@ -356,6 +356,9 @@ def enumerate_zero(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    for name, value in (("rank", r), ("length", n)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, not {type(value).__name__}")
     if r < 1 or n < 0:
         raise ValueError("need rank >= 1 and length >= 0")
     start = [partition(p) for p in prefix] if prefix is not None else [()]

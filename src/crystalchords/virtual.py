@@ -7,8 +7,9 @@ Each embedding is one letter map, in the table ``_LETTER_MAPS``:
   C-letters;
 * :func:`phi_vec`, vacillating -> fan: a B-vector letter to two spin letters.
 
-:func:`embedded_word` concatenates the images of a tableau's letters, and
-each tableau embedding is the tableau of that word.
+:func:`embedded_word` concatenates the images of a tableau's letters; each
+tableau embedding is the tableau of that word, and :func:`iota_inverse`
+reads the same table backwards, one letter's image to one block of steps.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .crystals import (
     TableauSeq,
     Word,
     cvec_order,
+    letters,
     step_letters,
     word_to_tableau,
 )
-from .weights import WeightVec, pad, trim
+from .weights import WeightVec, trim
 
 
 class NotInImage(Exception):
@@ -89,7 +91,11 @@ def embedded_word(t: TableauSeq, target: str) -> list:
     return [y for x in step_letters(FAMILY_KIND[t.family], r, t.steps) for y in image(x, r)]
 
 
-def _embed(t: TableauSeq, target: str) -> TableauSeq:
+def _embed(t: TableauSeq, source: str, target: str) -> TableauSeq:
+    if t.family != source:
+        raise ValueError(f"expected a {source} tableau")
+    if source == VACILLATING and t.weight != ():
+        raise ValueError("embedding requires weight zero")
     # the image word is highest weight, and word_to_tableau checks every step
     word = tuple(embedded_word(t, target))
     return word_to_tableau(Word._trusted(FAMILY_KIND[target], t.rank, word))
@@ -97,88 +103,54 @@ def _embed(t: TableauSeq, target: str) -> TableauSeq:
 
 def iota_f_to_o(f: TableauSeq) -> TableauSeq:
     """Oscillating tableau of length r*n: each fan letter becomes its :func:`psi_spin` word."""
-    if f.family != FAN:
-        raise ValueError("expected a fan of Dyck paths")
-    return _embed(f, OSCILLATING)
+    return _embed(f, FAN, OSCILLATING)
 
 
 def iota_v_to_o(v: TableauSeq) -> TableauSeq:
     """Oscillating tableau of twice the length; doubled corners at even positions."""
-    return _vac_embedding(v, OSCILLATING)
+    return _embed(v, VACILLATING, OSCILLATING)
 
 
 def iota_v_to_f(v: TableauSeq) -> TableauSeq:
     """Fan of twice the length; doubled corners at even positions."""
-    return _vac_embedding(v, FAN)
-
-
-def _vac_embedding(v: TableauSeq, family: str) -> TableauSeq:
-    if v.family != VACILLATING:
-        raise ValueError("expected a vacillating tableau")
-    if v.weight != ():
-        raise ValueError("embedding requires weight zero")
-    return _embed(v, family)
+    return _embed(v, VACILLATING, FAN)
 
 
 def _halve(mu: WeightVec) -> WeightVec:
-    """mu / 2 for a padded partition with even parts, or NotInImage."""
+    """mu / 2 for a partition with even parts, or NotInImage."""
     if any(x % 2 for x in mu):
         raise NotInImage(f"{trim(mu)} has an odd part where a doubled partition is required")
     return tuple(x // 2 for x in mu)
 
 
-def iota_f_to_o_inverse(t: TableauSeq) -> TableauSeq:
-    """Fan with iota_f_to_o(result) == t, or NotInImage."""
-    if t.family != OSCILLATING:
-        raise ValueError("expected an oscillating tableau")
-    r = t.rank
-    if len(t) % r != 0:
-        raise NotInImage(f"length {len(t)} is not a multiple of the rank {r}")
-    try:
-        f = TableauSeq(FAN, r, tuple(t.steps[k] for k in range(0, len(t) + 1, r)))
-    except ValueError as exc:
-        raise NotInImage(str(exc)) from exc
-    if iota_f_to_o(f) != t:
-        raise NotInImage("intermediate steps do not follow the letter refinement")
-    return f
-
-
-def iota_v_to_o_inverse(t: TableauSeq) -> TableauSeq:
-    return _vac_inverse(t, OSCILLATING, iota_v_to_o)
-
-
-def iota_v_to_f_inverse(t: TableauSeq) -> TableauSeq:
-    return _vac_inverse(t, FAN, iota_v_to_f)
-
-
-def _vac_inverse(t: TableauSeq, family: str, forward) -> TableauSeq:
-    if t.family != family:
-        raise ValueError(f"expected a {family} tableau")
-    if len(t) % 2 != 0:
-        raise NotInImage(f"length {len(t)} is odd")
-    halves = [trim(_halve(pad(t.steps[k], t.rank))) for k in range(0, len(t) + 1, 2)]
-    try:
-        v = TableauSeq(VACILLATING, t.rank, tuple(halves))
-    except ValueError as exc:
-        raise NotInImage(str(exc)) from exc
-    if v.weight != ():
-        raise NotInImage("weight is not zero")
-    if forward(v) != t:
-        raise NotInImage("odd steps do not match the embedding")
-    return v
-
-
-_INVERSES = {
-    (FAN, OSCILLATING): iota_f_to_o_inverse,
-    (VACILLATING, OSCILLATING): iota_v_to_o_inverse,
-    (VACILLATING, FAN): iota_v_to_f_inverse,
-}
-
-
 def iota_inverse(family_pair: tuple[str, str], t: TableauSeq) -> TableauSeq:
-    """Invert the embedding source->target named by ``family_pair`` on t."""
+    """The source tableau whose embedding named by ``family_pair`` is t, or NotInImage.
+
+    Its corners are every k-th step of t, k the length of one letter's image
+    (r for :func:`psi_spin`, 2 for :func:`psi_vec` and :func:`phi_vec`),
+    halved for a vacillating source.
+    """
+    image = _LETTER_MAPS.get(family_pair)
+    if image is None:
+        raise ValueError(f"no embedding for {family_pair!r}")
+    source, target = family_pair
+    if t.family != target:
+        raise ValueError(f"expected a {target} tableau")
+    r = t.rank
+    k = len(image(letters(FAMILY_KIND[source], r)[0], r))
+    if len(t) % k:
+        raise NotInImage(f"length {len(t)} is not a multiple of {k}")
+    corners = t.steps[::k]
+    if source == VACILLATING:
+        corners = tuple(map(_halve, corners))
     try:
-        inv = _INVERSES[family_pair]
-    except KeyError:
-        raise ValueError(f"no embedding for {family_pair!r}") from None
-    return inv(t)
+        s = TableauSeq(source, r, corners)
+    except ValueError as exc:
+        raise NotInImage(str(exc)) from exc
+    if source == VACILLATING and s.weight != ():
+        raise NotInImage("weight is not zero")
+    if _embed(s, source, target) != t:
+        if source == VACILLATING:
+            raise NotInImage("odd steps do not match the embedding")
+        raise NotInImage("intermediate steps do not follow the letter refinement")
+    return s

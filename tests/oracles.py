@@ -35,8 +35,8 @@ from crystalchords.growth import (
 from crystalchords.sieving import Poly
 from crystalchords.virtual import (
     iota_v_to_f,
+    iota_inverse,
     iota_v_to_o,
-    iota_v_to_o_inverse,
     psi_spin,
     psi_vec,
 )
@@ -100,9 +100,9 @@ def promote_steps(steps, r: int):
 
 
 def promote_vacillating(t: TableauSeq) -> TableauSeq:
-    """Vacillating promotion as iota_v_to_o_inverse(pr_O^2(iota_v_to_o(t)))."""
+    """Vacillating promotion as iota_inverse((VACILLATING, OSCILLATING), pr_O^2(iota_v_to_o(t)))."""
     steps = promote_steps(promote_steps(iota_v_to_o(t).steps, t.rank), t.rank)
-    return iota_v_to_o_inverse(TableauSeq(OSCILLATING, t.rank, steps))
+    return iota_inverse((VACILLATING, OSCILLATING), TableauSeq(OSCILLATING, t.rank, steps))
 
 
 def promotion_grid(t) -> PromotionGrid:

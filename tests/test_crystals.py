@@ -8,6 +8,7 @@ import pytest
 from crystalchords.crystals import (
     BVEC,
     CVEC,
+    FAMILIES,
     FAN,
     KINDS,
     OSCILLATING,
@@ -411,6 +412,18 @@ def test_enumerate_zero_odd_length_checks_the_prefix_first():
     assert [t.steps[:2] for t in enumerate_zero(VACILLATING, 1, 3, prefix=[(), (1,)])] == [((), (1,))]
     with pytest.raises(ValueError):
         enumerate_zero(FAN, 2, 5, prefix=[(1, 1)])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_enumerate_zero_takes_only_an_int_rank_and_length(family, bad):
+    """A bool, float or str rank or length is refused with validate_tableau's wording,
+    never listed and never a TypeError: True would share rank 1's tables."""
+    name = type(bad).__name__
+    with pytest.raises(ValueError, match=rf"^rank must be an int, not {name}$"):
+        enumerate_zero(family, bad, 2)
+    with pytest.raises(ValueError, match=rf"^length must be an int, not {name}$"):
+        enumerate_zero(family, 2, bad)
 
 
 @pytest.mark.parametrize("kind", [CVEC, BVEC])

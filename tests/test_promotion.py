@@ -385,7 +385,7 @@ def test_table_matches_local_rule_and_fill_through_both_embeddings():
 
 
 def test_vacillating_promote_matches_embedding_round_trip():
-    """promote equals iota_v_to_o_inverse(pr_O^2(iota_v_to_o(t))) on vac r <= 3, n <= 7."""
+    """promote equals the inverse embedding of pr_O^2(iota_v_to_o(t)) on vac r <= 3, n <= 7."""
     count = 0
     for r in range(1, 4):
         for n in range(8):
@@ -454,11 +454,11 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
     """A pr_O^2 that left the image raises NotInImage with the inverse embedding's message,
     every time it is met, and its failing entry is never stored."""
     from crystalchords import promotion
-    from crystalchords.virtual import NotInImage, iota_v_to_o_inverse
+    from crystalchords.virtual import NotInImage, iota_inverse
     from crystalchords.weights import pad
 
     with pytest.raises(NotInImage) as want:
-        iota_v_to_o_inverse(tableau(OSCILLATING, 2, forged))
+        iota_inverse((VACILLATING, OSCILLATING), tableau(OSCILLATING, 2, forged))
     t = tableau(VACILLATING, 2, steps)
     rule = promotion._LocalRule(OSCILLATING, 2)
     row = [rule.state(pad(p, 2)) for p in forged]
@@ -492,7 +492,7 @@ def test_vacillating_chord_maps_build_no_validating_embedding(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a chord map built a validating embedding")
 
-    monkeypatch.setattr(virtual, "_vac_embedding", forbidden)
+    monkeypatch.setattr(virtual, "_embed", forbidden)
     for tag, t, want in cases:
         assert chord_matrix(tag, t) == want, (tag, t)
     with pytest.raises(ValueError, match="^promotion requires weight zero$"):

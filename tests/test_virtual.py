@@ -18,7 +18,6 @@ from crystalchords.virtual import (
     NotInImage,
     embedded_word,
     iota_f_to_o,
-    iota_f_to_o_inverse,
     iota_inverse,
     iota_v_to_f,
     iota_v_to_o,
@@ -124,11 +123,45 @@ def test_iota_inverse_round_trips():
 def test_iota_inverse_not_in_image():
     o = tableau(OSCILLATING, 2, [(), (1,), ()])
     with pytest.raises(NotInImage):
-        iota_f_to_o_inverse(o)
+        iota_inverse((FAN, OSCILLATING), o)
     with pytest.raises(NotInImage):
         iota_inverse((VACILLATING, OSCILLATING), tableau(OSCILLATING, 1, [(), (1,), ()]))
+    # halves (), (1,): a vacillating tableau, but not of weight zero
+    with pytest.raises(NotInImage, match="^weight is not zero$"):
+        iota_inverse((VACILLATING, OSCILLATING), tableau(OSCILLATING, 1, [(), (1,), (2,)]))
     with pytest.raises(ValueError):
         iota_inverse((OSCILLATING, FAN), o)
+
+
+@pytest.mark.parametrize(
+    "source,target,forward",
+    [
+        (FAN, OSCILLATING, iota_f_to_o),
+        (VACILLATING, OSCILLATING, iota_v_to_o),
+        (VACILLATING, FAN, iota_v_to_f),
+    ],
+)
+def test_iota_inverse_succeeds_exactly_on_the_image(source, target, forward):
+    """On every weight-zero target tableau (r <= 3, length <= 10, osc r = 3 to 8),
+    iota_inverse returns the preimage when there is one and raises NotInImage,
+    never another exception, otherwise."""
+    checked = hits = 0
+    for r in (1, 2, 3):
+        k = r if source == FAN else 2
+        for n in range(9 if (target, r) == (OSCILLATING, 3) else 11):
+            preimage = {}
+            if n % k == 0:
+                preimage = {forward(s): s for s in enumerate_zero(source, r, n // k)}
+            for t in enumerate_zero(target, r, n):
+                checked += 1
+                if t in preimage:
+                    hits += 1
+                    s = iota_inverse((source, target), t)
+                    assert s == preimage[t] and forward(s) == t
+                else:
+                    with pytest.raises(NotInImage):
+                        iota_inverse((source, target), t)
+    assert checked > hits > 0 and checked - hits > 100
 
 
 def _word(kind, r, xs):
