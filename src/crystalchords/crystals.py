@@ -19,12 +19,17 @@ weight is decided by that rule: a word is highest weight exactly when its
 prefix weights form a tableau of the family, which :func:`word_to_tableau`
 checks in one pass.  :func:`enumerate_zero` lists next steps by the same
 rule, memoised per partition.  :func:`tableau_to_word` reads each step back
-as a letter from the step table of its (kind, rank), keyed by the pair of
-canonical partitions and filled on first use, so no call pads or subtracts;
-the promotion rule takes its words from the same table.  The crystal
+as a letter from the step table of its (family, rank), keyed by the pair of
+canonical partitions and filled on first use, so no call pads or subtracts.
+Its fill runs :func:`check_step`, so :func:`validate_tableau` checks steps
+through it; the promotion rule takes its words from it.  The crystal
 operators e_i and f_i, which define highest weight, follow the same factor
 order and live in ``tests/oracles.py`` as the definition the tests hold
 this rule to.
+
+Every lazy table follows one memo policy, written here once: a missing key
+of a :class:`_Table` stores ``fill(key)``, of an interned :class:`_State`
+row ``fill(state, key)``, and a fill that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -193,23 +198,13 @@ def validate_tableau(t: TableauSeq) -> None:
             if len(p) > r:
                 raise ValueError(f"{p} has more than {r} parts")
             known.add(p)
-    allowed = _valid_steps(t.family, r)
-    for step in zip(steps, steps[1:]):
-        if step not in allowed:
-            a, b = step
-            check_step(t.family, a + (0,) * (r - len(a)), b + (0,) * (r - len(b)))
-            allowed.add(step)
+    # the step table stores a step's letter only after check_step passed it
+    step_letters(t.family, r, steps)
 
 
 @cache
 def _valid_partitions(r: int) -> set[Partition]:
     """Canonical partitions of int parts with at most r parts, added as they pass."""
-    return set()
-
-
-@cache
-def _valid_steps(family: str, r: int) -> set[tuple[Partition, Partition]]:
-    """Pairs of canonical partitions the family allows as a step at rank r, added as they pass."""
     return set()
 
 
@@ -269,17 +264,16 @@ def is_highest(w: Word) -> bool:
 
 def tableau_to_word(t: TableauSeq) -> Word:
     """Inverse of :func:`word_to_tableau`."""
-    kind = FAMILY_KIND[t.family]
-    return Word._trusted(kind, t.rank, step_letters(kind, t.rank, t.steps))
+    return Word._trusted(FAMILY_KIND[t.family], t.rank, step_letters(t.family, t.rank, t.steps))
 
 
-def step_letters(kind: str, r: int, steps: Sequence[Partition]) -> tuple:
-    """Letters of the steps between consecutive canonical partitions of a valid tableau."""
-    return tuple(map(_step_table(kind, r).__getitem__, zip(steps, steps[1:])))
+def step_letters(family: str, r: int, steps: Sequence[Partition]) -> tuple:
+    """Letters of the steps between consecutive canonical partitions; a forbidden one raises."""
+    return tuple(map(_step_table(family, r).__getitem__, zip(steps, steps[1:])))
 
 
 class _Table(dict):
-    """A dict that stores ``fill(*key)`` for a missing key; a fill that raises stores nothing."""
+    """A dict that stores ``fill(key)`` for a missing key; a fill that raises stores nothing."""
 
     __slots__ = ("fill",)
 
@@ -288,22 +282,50 @@ class _Table(dict):
         self.fill = fill
 
     def __missing__(self, key):
-        value = self[key] = self.fill(*key)
+        value = self[key] = self.fill(key)
         return value
 
 
+class _State(dict):
+    """A state of a lazily filled transducer, holding its own row; see :func:`_states`.
+
+    A missing key stores ``fill(state, key)``.  States are interned by
+    ``label``, so they compare and hash by identity.
+    """
+
+    __slots__ = ("fill", "label")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, fill, label):
+        super().__init__()
+        self.fill = fill
+        self.label = label
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(self, key)
+        return value
+
+
+def _states(fill) -> _Table:
+    """The states of one transducer, interned by label, each row filled by ``fill(state, key)``."""
+    return _Table(lambda label: _State(fill, label))
+
+
 @cache
-def _step_table(kind: str, r: int) -> _Table:
+def _step_table(family: str, r: int) -> _Table:
     """The letter of each step (a, b) of canonical partitions, filled on first use.
 
-    The value is the letter of weight pad(b) - pad(a), so each step is padded
-    and subtracted once per (kind, rank), not once per tableau.  Keys come from
-    valid tableaux, whose steps differ by letters of the family's crystal.
+    The fill runs :func:`check_step` and returns the letter of weight
+    pad(b) - pad(a), so each step is padded, checked and subtracted once per
+    (family, rank), not once per tableau.
     """
-    letter_of = _letter_of(kind, r)
+    letter_of = _letter_of(FAMILY_KIND[family], r)
 
-    def letter(a: Partition, b: Partition):
-        return letter_of[tuple(map(sub, pad(b, r), pad(a, r)))]
+    def letter(step: tuple[Partition, Partition]):
+        a, b = pad(step[0], r), pad(step[1], r)
+        check_step(family, a, b)
+        return letter_of[tuple(map(sub, b, a))]
 
     return _Table(letter)
 

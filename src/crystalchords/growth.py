@@ -19,15 +19,16 @@ box, and a filling of 1 needs gamma = delta = alpha.  On such cells Fomin's
 0/1 rules are the RSK rules, so they are not stated a second time.
 
 The sweeps walk the diagram as a transducer over interned vertical edges
-(top corner, bottom corner), one set per rule set and direction
+labelled (top corner, bottom corner), one set per rule set and direction
 (:func:`_edges`).  A backward edge (NE, SE) maps a cell's NW corner to
 (next edge (NW, SW), SW, m); a forward edge (NW, SW) maps (SE, m) to
 (next edge (NE, SE), NE).  Corners are canonical partitions, so no key needs
-a rank.  A missing key calls the raw rule, and only a value the rule
-returned is stored: every adjacency, strip and filling check still runs
-once on each distinct cell, and a rejected cell is never stored, so it
-raises the rule's message every time it is met.  The edges memoise the
-local rules only and share nothing with the promotion route.
+a rank.  The edges are :class:`crystals._State` rows: a missing key calls
+the raw rule, and only a value the rule returned is stored, so every
+adjacency, strip and filling check still runs once on each distinct cell,
+and a rejected cell is never stored and raises the rule's message every
+time it is met.  The edges memoise the local rules only; they share the
+state class with the promotion route, never a table.
 
 Triangular diagrams use corners alpha[i][j] for 0 <= j <= i <= n laid out
 with the hypotenuse alpha[k][k] on the main diagonal (row index growing
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .crystals import _INT, FAN, OSCILLATING, VACILLATING, TableauSeq, _Table
+from .crystals import _INT, FAN, OSCILLATING, VACILLATING, TableauSeq, _State, _states, _Table
 from .weights import Partition, partition
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -251,71 +252,26 @@ _RULES = {
 _FAMILY_RULE = {OSCILLATING: "zero_one", FAN: "burge", VACILLATING: "rsk"}
 
 
-class _Edge(dict):
-    """A vertical edge (top corner, bottom corner), holding its own row of one rule's table.
-
-    Edges are interned per rule set and direction (:class:`_Edges`), so they
-    compare and hash by identity.  A key missing from the row is computed by
-    the raw local rule, and only a value the rule returned is stored.
-    """
-
-    __slots__ = ("edges", "top", "bottom")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, edges: _Edges, top: Partition, bottom: Partition):
-        super().__init__()
-        self.edges = edges
-        self.top = top
-        self.bottom = bottom
-
-
-class _BackwardEdge(_Edge):
-    """The edge (NE, SE) of a cell; its NW corner gives (edge (NW, SW), SW, m)."""
-
-    __slots__ = ()
-
-    def __missing__(self, alpha: Partition) -> tuple[_Edge, Partition, int]:
-        edges = self.edges
-        gamma, m = edges.rule(self.top, self.bottom, alpha)
-        entry = self[alpha] = (edges[alpha, gamma], gamma, m)
-        return entry
-
-
-class _ForwardEdge(_Edge):
-    """The edge (NW, SW) of a cell; its SE corner and filling give (edge (NE, SE), NE)."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: tuple[Partition, int]) -> tuple[_Edge, Partition]:
-        delta, m = key
-        edges = self.edges
-        beta = edges.rule(self.bottom, delta, self.top, m)
-        entry = self[key] = (edges[beta, delta], beta)
-        return entry
-
-
-class _Edges(dict):
-    """The interned edges of one rule set and direction, keyed by (top, bottom)."""
-
-    __slots__ = ("rule", "edge")
-
-    def __init__(self, rule, edge: type[_Edge]):
-        super().__init__()
-        self.rule = rule
-        self.edge = edge
-
-    def __missing__(self, key: tuple[Partition, Partition]) -> _Edge:
-        e = self[key] = self.edge(self, *key)
-        return e
-
-
 @cache
-def _edges(rule: str, forward: bool) -> _Edges:
-    """The edges of a rule set's forward or backward sweep, filled as the sweeps meet them."""
+def _edges(rule: str, forward: bool) -> _Table:
+    """The vertical edges of a rule set's forward or backward sweep, keyed by (top, bottom)."""
+    raw = _RULES[rule][0 if forward else 1]
     if forward:
-        return _Edges(_RULES[rule][0], _ForwardEdge)
-    return _Edges(_RULES[rule][1], _BackwardEdge)
+
+        def cell(edge: _State, key: tuple[Partition, int]) -> tuple[_State, Partition]:
+            delta, m = key
+            alpha, gamma = edge.label
+            beta = raw(gamma, delta, alpha, m)
+            return edges[beta, delta], beta
+
+    else:
+
+        def cell(edge: _State, alpha: Partition) -> tuple[_State, Partition, int]:
+            gamma, m = raw(*edge.label, alpha)
+            return edges[alpha, gamma], gamma, m
+
+    edges = _states(cell)
+    return edges
 
 
 @cache
@@ -327,7 +283,8 @@ def _seeds(family: str) -> _Table:
     """
     edges = _edges(_FAMILY_RULE[family], False)
 
-    def seed(p: Partition, q: Partition) -> tuple[_Edge, Partition, Partition]:
+    def seed(step: tuple[Partition, Partition]) -> tuple[_State, Partition, Partition]:
+        p, q = step
         if family == VACILLATING:
             repeat = p == q
             p, q = tuple(2 * x for x in p), tuple(2 * x for x in q)
@@ -451,8 +408,14 @@ def _infer_rank(family: str, steps) -> int:
     return max(longest, 1)
 
 
+def _check_block_size(k: int) -> None:
+    if type(k) is not int or k < 1:  # True would pass for 1
+        raise ValueError(f"block size must be an int >= 1, not {k!r}")
+
+
 def blocksum(m: Matrix, k: int) -> Matrix:
     """Sum each k-by-k block of a kn-by-kn matrix."""
+    _check_block_size(k)
     if len(m) % k:
         raise ValueError(f"dimension {len(m)} is not divisible by {k}")
     n = len(m) // k
@@ -483,6 +446,9 @@ def _skewed_sums(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
 
 def blowup(direction: str, m: Matrix, k: int) -> Matrix:
     """The unique 0/1 matrix with k-block sums m whose ones form SE or NE chains."""
+    if direction not in ("SE", "NE"):
+        raise ValueError(f"unknown direction {direction!r}")
+    _check_block_size(k)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
@@ -499,9 +465,7 @@ def blowup(direction: str, m: Matrix, k: int) -> Matrix:
             for t in range(a):
                 if direction == "SE":
                     p, q = r[i][j] + t, c[i][j] + t
-                elif direction == "NE":
-                    p, q = k - 1 - r[i][j] - t, k - c[i][j] - a + t
                 else:
-                    raise ValueError(f"unknown direction {direction!r}")
+                    p, q = k - 1 - r[i][j] - t, k - c[i][j] - a + t
                 out[k * i + p][k * j + q] = 1
     return tuple(tuple(row) for row in out)

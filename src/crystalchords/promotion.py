@@ -10,11 +10,11 @@ dominance map.  The grid entry mu^{i,j} is the (j-i)-th entry of pr^i(T),
 indices mod n, so no geometric cut-and-glue is needed.
 
 Words are read off the canonical steps through the crystal's step table
-(:func:`crystals.step_letters`), and each state of the rule carries its
-canonical partition, so promotion pads, subtracts and trims nothing per
-call.  A vacillating tableau is promoted as pr_O^2 of its oscillating
-embedding; the checks that the result stays in the image run once per
-stored entry of that walk, not once per call.
+(:func:`crystals.step_letters`), and the states of :class:`_LocalRule` are
+labelled by canonical partitions, so promotion pads, subtracts and trims
+only when a table misses.  A vacillating tableau is promoted as pr_O^2 of
+its oscillating embedding; the checks that the result stays in the image
+run once per stored entry of that walk, not once per call.
 """
 
 from __future__ import annotations
@@ -31,12 +31,15 @@ from .crystals import (
     VACILLATING,
     TableauSeq,
     _letter_of,
+    _State,
+    _states,
+    _Table,
     check_step,
     letter_weight,
     step_letters,
 )
 from .virtual import NotInImage, _halve, embedded_word, psi_vec
-from .weights import Partition, WeightVec, trim
+from .weights import Partition, pad, trim
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -44,45 +47,22 @@ Matrix = tuple[tuple[int, ...], ...]
 CHORD_MAPS = {"M_O": OSCILLATING, "M_F": FAN, "M_VO": VACILLATING, "M_VF": VACILLATING}
 
 
-class _State(dict):
-    """A partition kappa of a local rule, holding its own row of the table.
-
-    ``parts`` is kappa padded to the rank and ``partition`` the same kappa
-    trimmed.  Keys are letters of the family's crystal, values ``(next
-    state, output letter, fill)``.  A letter missing from the row is computed
-    by the rule on first use.  States are interned per rule, so they compare
-    and hash by identity.
-    """
-
-    __slots__ = ("rule", "parts", "partition", "exit_letter")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, rule: _LocalRule, parts: WeightVec):
-        super().__init__()
-        self.rule = rule
-        self.parts = parts
-        self.partition = trim(parts)
-        self.exit_letter = None  # set once check_step passed the step to empty
-
-    def __missing__(self, a) -> tuple[_State, object, int]:
-        return self.rule.cell(self, a)
-
-
 class _LocalRule:
     """mu = dom(kappa + nu - lambda) of one family and rank, as a lazily filled transducer.
 
-    A state is a partition kappa; a letter is the crystal letter of a step
-    nu - lambda.  The table maps (state, letter) to (state mu, letter of
-    mu - kappa, fill), where the fill counts the negative entries of
-    kappa + nu - lambda, capped at one for the oscillating family.  Each
+    A state is a partition kappa, interned by its canonical (trimmed) form
+    in ``states`` (:func:`crystals._states`); a letter is the crystal letter
+    of a step nu - lambda.  The table maps (state, letter) to (state mu,
+    letter of mu - kappa, fill), where the fill counts the negative entries
+    of kappa + nu - lambda, capped at one for the oscillating family.  Each
     entry passes :func:`check_step` before it is stored, so a forbidden
-    transition is never stored and raises its message every time it is met.
-    The table memoises the rule only, never a sweep: each row is still walked
-    cell by cell.
+    transition is never stored and raises its message every time it is met;
+    ``exits`` holds the letter of each state's step into the empty
+    partition, checked the same way.  The table memoises the rule only,
+    never a sweep: each row is still walked cell by cell.
 
     ``vacillating`` holds, for the oscillating rule, the checked steps of
-    vacillating promotion (see :func:`_vacillating_step`).
+    vacillating promotion (:meth:`_vacillating_step`).
     """
 
     def __init__(self, family: str, rank: int):
@@ -90,33 +70,46 @@ class _LocalRule:
         self.kind = FAMILY_KIND[family]
         self.rank = rank
         self.letter_of = _letter_of(self.kind, rank)
-        self.states: dict[WeightVec, _State] = {}
-        self.zero = self.state((0,) * rank)
-        self.vacillating: dict[tuple[_State, _State, _State], Partition] = {}
-
-    def state(self, mu: WeightVec) -> _State:
-        s = self.states.get(mu)
-        if s is None:
-            s = self.states[mu] = _State(self, mu)
-        return s
+        self.states = _states(self.cell)
+        self.zero = self.states[()]
+        self.exits = _Table(self._exit)
+        self.vacillating = _Table(self._vacillating_step)
 
     def cell(self, s: _State, a) -> tuple[_State, object, int]:
-        kappa = s.parts
+        kappa = pad(s.label, self.rank)
         v = tuple(map(add, kappa, letter_weight(self.kind, self.rank, a)))
         mu = tuple(sorted(map(abs, v), reverse=True))
         check_step(self.family, kappa, mu)
         fill = sum(x < 0 for x in v)
         if self.family == OSCILLATING:
             fill = min(fill, 1)
-        entry = s[a] = (self.state(mu), self.letter_of[tuple(map(sub, mu, kappa))], fill)
-        return entry
+        return self.states[trim(mu)], self.letter_of[tuple(map(sub, mu, kappa))], fill
 
-    def exit(self, s: _State):
-        """Letter of the step from s into the empty partition, checked once per state."""
-        if s.exit_letter is None:
-            check_step(self.family, s.parts, self.zero.parts)
-            s.exit_letter = self.letter_of[tuple(-x for x in s.parts)]
-        return s.exit_letter
+    def _exit(self, s: _State):
+        """Letter of the step from s into the empty partition."""
+        kappa = pad(s.label, self.rank)
+        check_step(self.family, kappa, (0,) * self.rank)
+        return self.letter_of[tuple(-x for x in kappa)]
+
+    def _vacillating_step(self, key: tuple[_State, _State, _State]) -> Partition:
+        """Half of f, for states (e, o, f) at positions 2k, 2k+1, 2k+2 of pr_O^2 of an embedding.
+
+        The halves of e and f must form a vacillating step whose embedding has
+        o at the odd position; that is what shows that pr_O^2 keeps the image.
+        """
+        e, o, f = key
+        r = self.rank
+        kappa = pad(e.label, r)
+        halves = [_halve(kappa), _halve(pad(f.label, r))]
+        try:
+            check_step(VACILLATING, *halves)
+        except ValueError as exc:
+            raise NotInImage(str(exc)) from exc
+        # a checked step is the weight of a B-letter, whose first C-letter leads from e to o
+        x = psi_vec(_letter_of(BVEC, r)[tuple(map(sub, halves[1], halves[0]))], r)[0]
+        if tuple(map(add, kappa, letter_weight(CVEC, r, x))) != pad(o.label, r):
+            raise NotInImage("odd steps do not match the embedding")
+        return trim(halves[1])
 
 
 @cache
@@ -137,34 +130,9 @@ def _promote_row(rule: _LocalRule, word) -> tuple[list[_State], list]:
         s, b, _ = s[a]
         row.append(s)
         out.append(b)
-    out.append(rule.exit(s))
+    out.append(rule.exits[s])
     row.append(rule.zero)
     return row, out
-
-
-def _vacillating_step(rule: _LocalRule, e: _State, o: _State, f: _State) -> Partition:
-    """Half of f, for states at positions 2k, 2k+1, 2k+2 of pr_O^2 of an embedding.
-
-    The halves of e and f must form a vacillating step whose embedding has o
-    at the odd position; that is what shows that pr_O^2 keeps the image.  The
-    check runs once per entry, before it is stored, so an entry that fails
-    raises :class:`NotInImage` every time it is met.
-    """
-    key = (e, o, f)
-    b = rule.vacillating.get(key)
-    if b is None:
-        halves = [_halve(e.parts), _halve(f.parts)]
-        try:
-            check_step(VACILLATING, *halves)
-        except ValueError as exc:
-            raise NotInImage(str(exc)) from exc
-        # a checked step is the weight of a B-letter, whose first C-letter leads from e to o
-        r = rule.rank
-        x = psi_vec(_letter_of(BVEC, r)[tuple(map(sub, halves[1], halves[0]))], r)[0]
-        if tuple(map(add, e.parts, letter_weight(CVEC, r, x))) != o.parts:
-            raise NotInImage("odd steps do not match the embedding")
-        b = rule.vacillating[key] = trim(halves[1])
-    return b
 
 
 def promote(t: TableauSeq) -> TableauSeq:
@@ -181,16 +149,16 @@ def promote(t: TableauSeq) -> TableauSeq:
         return t
     r = t.rank
     if t.family != VACILLATING:
-        rule = _local_rule(t.family, r)
-        row, _ = _promote_row(rule, step_letters(rule.kind, r, t.steps))
-        steps = [s.partition for s in row]
+        row, _ = _promote_row(_local_rule(t.family, r), step_letters(t.family, r, t.steps))
+        steps = [s.label for s in row]
     else:
         rule = _local_rule(OSCILLATING, r)
         _, word = _promote_row(rule, embedded_word(t, OSCILLATING))
         row, _ = _promote_row(rule, word)
+        checked = rule.vacillating
         steps = [()]
         for k in range(0, len(row) - 1, 2):
-            steps.append(_vacillating_step(rule, row[k], row[k + 1], row[k + 2]))
+            steps.append(checked[row[k], row[k + 1], row[k + 2]])
     # every table entry and every vacillating entry was checked when it was stored
     return TableauSeq._trusted(t.family, r, tuple(steps))
 
@@ -212,7 +180,7 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
         raise ValueError("promotion requires weight zero")
     r = t.rank
     if family != VACILLATING:
-        return _promotion_fill(family, r, step_letters(FAMILY_KIND[family], r, t.steps))
+        return _promotion_fill(family, r, step_letters(family, r, t.steps))
     if tag == "M_VO":
         return _promotion_fill(OSCILLATING, r, embedded_word(t, OSCILLATING), 2)
     return _promotion_fill(FAN, r, embedded_word(t, FAN), 2, 2 * (r - 1))
@@ -233,7 +201,7 @@ def _promotion_fill(family: str, rank: int, word, block: int = 1, shift: int = 0
     if n == 0:
         return ()
     rule = _local_rule(family, rank)
-    zero, leave = rule.zero, rule.exit
+    zero, exits = rule.zero, rule.exits
     m = n // block
     out = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -249,7 +217,7 @@ def _promotion_fill(family: str, rank: int, word, block: int = 1, shift: int = 0
             push(b)
             if f:
                 acc[c] += f
-        push(leave(s))
+        push(exits[s])
         f = s[word[0]][2]
         if f:
             acc[cols[i]] += f

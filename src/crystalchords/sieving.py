@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from operator import attrgetter, mul
 from typing import Callable, Iterable, Sequence
 
@@ -172,7 +172,7 @@ def energy(w: Word) -> int:
 @cache
 def _pair_energies(kind: str, r: int) -> _Table:
     """:func:`local_energy` of each pair (a, b) of letters, filled on first use."""
-    return _Table(partial(_pair_energy, kind, r))
+    return _Table(lambda pair: _pair_energy(kind, r, *pair))
 
 
 # ------------------------------------------------------------ q-polynomials

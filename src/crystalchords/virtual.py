@@ -88,7 +88,7 @@ def embedded_word(t: TableauSeq, target: str) -> list:
     if image is None:
         raise ValueError(f"no embedding for {(t.family, target)!r}")
     r = t.rank
-    return [y for x in step_letters(FAMILY_KIND[t.family], r, t.steps) for y in image(x, r)]
+    return [y for x in step_letters(t.family, r, t.steps) for y in image(x, r)]
 
 
 def _embed(t: TableauSeq, source: str, target: str) -> TableauSeq:

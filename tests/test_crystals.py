@@ -164,10 +164,10 @@ def test_tableau_takes_int_ranks_and_parts_only(rank, steps, message):
 def test_remembered_steps_still_test_the_type_of_every_part():
     """Validation remembers the partitions and steps that passed, but True and
     1.0 hash and compare as 1, so the exact int test still runs on every call."""
-    from crystalchords.crystals import _valid_partitions, _valid_steps
+    from crystalchords.crystals import _step_table, _valid_partitions
 
     TableauSeq(FAN, 2, ((), (1, 1), ()))
-    assert (1, 1) in _valid_partitions(2) and ((), (1, 1)) in _valid_steps(FAN, 2)
+    assert (1, 1) in _valid_partitions(2) and ((), (1, 1)) in _step_table(FAN, 2)
     for steps, message in [
         (((), (True, True), ()), "(True, True) is not a canonical partition"),
         (((), (1.0, 1), ()), "(1.0, 1) is not a canonical partition"),
@@ -179,7 +179,7 @@ def test_remembered_steps_still_test_the_type_of_every_part():
 
 
 def test_rejected_partitions_and_steps_raise_every_time_and_are_never_stored():
-    from crystalchords.crystals import _valid_partitions, _valid_steps
+    from crystalchords.crystals import _step_table, _valid_partitions
 
     # (family, rank, steps, message, the table and the entry it must not hold)
     cases = [
@@ -198,7 +198,7 @@ def test_rejected_partitions_and_steps_raise_every_time_and_are_never_stored():
             2,
             ((), (1,), ()),
             "fan step () -> (1,) must change every part by one",
-            _valid_steps(FAN, 2),
+            _step_table(FAN, 2),
             ((), (1,)),
         ),
         (
@@ -206,7 +206,7 @@ def test_rejected_partitions_and_steps_raise_every_time_and_are_never_stored():
             2,
             ((), (1,), (1,), ()),
             "vacillating step may repeat (1,) only with all 2 parts positive",
-            _valid_steps(VACILLATING, 2),
+            _step_table(VACILLATING, 2),
             ((1,), (1,)),
         ),
     ]
@@ -566,8 +566,8 @@ def test_step_table_reads_the_letter_of_each_child_step(family):
     steps = 0
     for r in range(1, 4):
         kind = FAMILY_KIND[family]
-        table = _step_table(kind, r)
-        assert _step_table(kind, r) is table
+        table = _step_table(family, r)
+        assert _step_table(family, r) is table
         for a in oracles.box_partitions(r, 3):
             for b in _children(family, r, a):
                 d = tuple(y - x for x, y in zip(pad(a, r), pad(b, r)))

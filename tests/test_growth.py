@@ -210,6 +210,22 @@ def test_blowup_examples():
         blowup("SE", ((1, 0), (0, 0)), 1)
 
 
+def test_blowup_and_blocksum_reject_impossible_block_sizes():
+    m = ((0, 2), (2, 0))
+    cases = [
+        (lambda: blowup("SE", ((0,),), 0), "block size must be an int >= 1, not 0"),
+        (lambda: blowup("sideways", (), 2), "unknown direction 'sideways'"),
+        (lambda: blowup("NE", ((1,),), True), "block size must be an int >= 1, not True"),
+        (lambda: blocksum(m, -1), "block size must be an int >= 1, not -1"),
+        (lambda: blocksum(m, 0), "block size must be an int >= 1, not 0"),
+        (lambda: blocksum(m, True), "block size must be an int >= 1, not True"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_blowup_blocksum_round_trip_random():
     rng = random.Random(7)
     for _ in range(100):
@@ -549,7 +565,7 @@ def test_growth_table_entries_equal_the_raw_rules():
         forward, backward = _edges(name, True), _edges(name, False)
         assert any(forward.values()) and any(backward.values()), name
         for (top, bottom), edge in forward.items():
-            assert (edge.top, edge.bottom) == (top, bottom), name
+            assert edge.label == (top, bottom), name
             for key, (nxt, beta) in edge.items():
                 delta, m = key
                 assert type(m) is int, (name, key)
@@ -557,11 +573,43 @@ def test_growth_table_entries_equal_the_raw_rules():
                 assert raw_forward(bottom, delta, top, m) == beta, (name, top, bottom, key)
                 assert nxt is forward.get((beta, delta)), (name, top, bottom, key)
         for (top, bottom), edge in backward.items():
-            assert (edge.top, edge.bottom) == (top, bottom), name
+            assert edge.label == (top, bottom), name
             for alpha, (nxt, gamma, m) in edge.items():
                 # the edge is (NE, SE) = (beta, delta)
                 assert raw_backward(top, bottom, alpha) == (gamma, m), (name, top, bottom, alpha)
                 assert nxt is backward.get((alpha, gamma)), (name, top, bottom, alpha)
+
+
+def test_growth_and_promotion_share_the_state_class_never_a_table():
+    """Both routes intern their states as crystals._State rows, each in tables
+    of its own, filled by its own rule."""
+    from crystalchords import growth
+    from crystalchords.crystals import _State
+    from crystalchords.growth import _FAMILY_RULE, _RULES, _edges
+    from crystalchords.promotion import CHORD_MAPS, _local_rule, promote
+
+    for family, r, n in ((OSCILLATING, 2, 6), (FAN, 2, 6), (VACILLATING, 2, 5)):
+        for t in enumerate_zero(family, r, n):
+            m = growth_matrix(family, t)
+            growth_inverse(_FAMILY_RULE[family], lower_triangle_rows(m), family)
+            promote(t)
+            for tag, source in CHORD_MAPS.items():
+                if source == family:
+                    chord_matrix(tag, t)
+    edges = [e for name in _RULES for fwd in (True, False) for e in _edges(name, fwd).values()]
+    rules = [_local_rule(family, 2) for family in (OSCILLATING, FAN)]
+    states = [s for rule in rules for s in rule.states.values()]
+    assert edges and states
+    assert all(type(x) is _State for x in edges + states)
+    assert not {id(e) for e in edges} & {id(s) for s in states}
+    assert {e.fill.__module__ for e in edges} == {"crystalchords.growth"}
+    for rule in rules:
+        assert all(s.fill.__self__ is rule for s in rule.states.values())
+    assert not [
+        name
+        for name, x in vars(growth).items()
+        if getattr(x, "__module__", None) == "crystalchords.promotion"
+    ]
 
 
 def test_rejected_growth_cell_raises_every_time_and_is_never_stored():

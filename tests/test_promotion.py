@@ -207,6 +207,7 @@ def test_promotion_grid_matches_local_rule_sweep(family, rmax, nmax):
 def _walk(family, r, word):
     """Padded steps and fills of one promotion row over a word of letters, on a fresh table."""
     from crystalchords.promotion import _LocalRule, _promote_row
+    from crystalchords.weights import pad
 
     rule = _LocalRule(family, r)
     row, _ = _promote_row(rule, word)
@@ -214,7 +215,7 @@ def _walk(family, r, word):
     for a in word[1:]:
         s, _, f = s[a]
         fills.append(f)
-    return [s.parts for s in row], fills
+    return [pad(s.label, r) for s in row], fills
 
 
 def test_sweep_checks_every_new_step():
@@ -259,7 +260,7 @@ def test_sweep_step_test_matches_check_step(family, r):
     """
     from crystalchords.crystals import FAMILY_KIND, check_step, letter_weight, letters
     from crystalchords.promotion import _LocalRule
-    from crystalchords.weights import pad
+    from crystalchords.weights import pad, trim
 
     kind = FAMILY_KIND[family]
     box = [pad(p, r) for p in oracles.box_partitions(r, 3)]
@@ -267,15 +268,15 @@ def test_sweep_step_test_matches_check_step(family, r):
     zero = (0,) * r
     accepted = rejected = 0
     for a in box:
-        s = rule.state(a)
-        assert _outcome(rule.exit, s) == _outcome(check_step, family, a, zero), a
+        s = rule.states[trim(a)]
+        assert _outcome(rule.exits.__getitem__, s) == _outcome(check_step, family, a, zero), a
         for x in letters(kind, r):
             b = pad(local_rule(zero, a, letter_weight(kind, r, x)), r)
             want = _outcome(check_step, family, a, b)
             assert _outcome(s.__getitem__, x) == want, (a, x)
             if want is None:
                 nxt, out, _ = s[x]
-                assert nxt.parts == b and letter_weight(kind, r, out) == tuple(
+                assert pad(nxt.label, r) == b and letter_weight(kind, r, out) == tuple(
                     q - p for p, q in zip(a, b)
                 )
                 accepted += 1
@@ -294,41 +295,42 @@ def test_forbidden_transition_raises_every_time():
     from crystalchords.promotion import _LocalRule, _promote_row
 
     fan = _LocalRule(FAN, 2)
-    s, a = fan.state((1, 0)), (-1, -1)
+    s, a = fan.states[(1,)], (-1, -1)
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^fan step \(1,\) -> \(1,\) must change every part by one$"):
             s[a]
         assert a not in s
     rule = _LocalRule(OSCILLATING, 2)
-    bad_exit = rule.state((2, 0))
+    bad_exit = rule.states[(2,)]
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
-            rule.exit(bad_exit)
-        assert bad_exit.exit_letter is None
+            rule.exits[bad_exit]
+        assert bad_exit not in rule.exits
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^oscillating step \(2,\) -> \(\) must add or remove one box$"):
             _promote_row(rule, (1, 1, 1))
-        assert bad_exit.exit_letter is None
+        assert bad_exit not in rule.exits
 
 
 def test_fan_and_oscillating_tables_share_no_entry():
     """A state stored by one family's table is still judged by the other's rule."""
     from crystalchords.promotion import _local_rule
+    from crystalchords.weights import pad
 
     fan, osc = _local_rule(FAN, 2), _local_rule(OSCILLATING, 2)
     assert fan is not osc and _local_rule(FAN, 2) is fan
     # (1, 1) + (-1, -1) = (): a fan step, no oscillating one
-    nxt, _, fill = fan.state((1, 1))[(-1, -1)]
-    assert nxt.parts == (0, 0) and fill == 0
-    assert fan.exit(fan.state((1, 1))) == (-1, -1)
+    nxt, _, fill = fan.states[(1, 1)][(-1, -1)]
+    assert pad(nxt.label, 2) == (0, 0) and fill == 0
+    assert fan.exits[fan.states[(1, 1)]] == (-1, -1)
     with pytest.raises(ValueError, match=r"^oscillating step \(1, 1\) -> \(\) must add or remove one box$"):
-        osc.exit(osc.state((1, 1)))
+        osc.exits[osc.states[(1, 1)]]
     # (1, 0) + e_2 = (1, 1): an oscillating step; the fan state (1, 0) plus
     # (-1, -1) stays at (1, 0), no fan step
-    nxt, _, fill = osc.state((1, 0))[2]
-    assert nxt.parts == (1, 1) and fill == 0
+    nxt, _, fill = osc.states[(1,)][2]
+    assert pad(nxt.label, 2) == (1, 1) and fill == 0
     with pytest.raises(ValueError, match=r"^fan step \(1,\) -> \(1,\) must change every part by one$"):
-        fan.state((1, 0))[(-1, -1)]
+        fan.states[(1,)][(-1, -1)]
 
 
 def _pin_table(t, fill_rule):
@@ -341,24 +343,24 @@ def _pin_table(t, fill_rule):
     n, r = len(t), t.rank
     rule = _local_rule(t.family, r)
     prev = t.steps
-    word = step_letters(rule.kind, r, prev)
+    word = step_letters(t.family, r, prev)
     cells = 0
     for _ in range(n):
         new = oracles.promote_steps(prev, r)
         s, out = rule.zero, []
         for k in range(1, n):
             lam, kap, nu = pad(prev[k], r), pad(new[k - 1], r), pad(prev[k + 1], r)
-            assert s.parts == kap
+            assert pad(s.label, r) == kap
             s, b, f = s[word[k]]
-            assert s.parts == pad(local_rule(lam, kap, nu), r), (t, lam, kap, nu)
+            assert pad(s.label, r) == pad(local_rule(lam, kap, nu), r), (t, lam, kap, nu)
             assert f == fill_value(fill_rule, lam, kap, nu), (t, lam, kap, nu)
             out.append(b)
             cells += 1
-        out.append(rule.exit(s))
+        out.append(rule.exits[s])
         # the diagonal cell: lambda empty, kappa the last inner step, nu the first
         assert s[word[0]][2] == fill_value(fill_rule, (), new[n - 1], prev[1]), t
         word, prev = tuple(out), new
-        assert word == step_letters(rule.kind, r, prev), t
+        assert word == step_letters(t.family, r, prev), t
     return cells
 
 
@@ -455,13 +457,12 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
     every time it is met, and its failing entry is never stored."""
     from crystalchords import promotion
     from crystalchords.virtual import NotInImage, iota_inverse
-    from crystalchords.weights import pad
 
     with pytest.raises(NotInImage) as want:
         iota_inverse((VACILLATING, OSCILLATING), tableau(OSCILLATING, 2, forged))
     t = tableau(VACILLATING, 2, steps)
     rule = promotion._LocalRule(OSCILLATING, 2)
-    row = [rule.state(pad(p, 2)) for p in forged]
+    row = [rule.states[p] for p in forged]
     monkeypatch.setattr(promotion, "_local_rule", lambda family, rank: rule)
     monkeypatch.setattr(promotion, "_promote_row", lambda rule, word: (row, []))
     entries = [tuple(row[k : k + 3]) for k in range(0, len(row) - 1, 2)]
