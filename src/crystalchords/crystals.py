@@ -29,7 +29,10 @@ this rule to.
 
 Every lazy table follows one memo policy, written here once: a missing key
 of a :class:`_Table` stores ``fill(key)``, of an interned :class:`_State`
-row ``fill(state, key)``, and a fill that raises stores nothing.
+row ``fill(state, key)``, and a fill that raises stores nothing.  The
+states of a transducer are interned by :func:`_states`; :func:`_pairs`
+interns pairs of them that walk two rows of the transducer in one lookup,
+each entry two lookups of the base rows.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def letter_weight(kind: str, r: int, x) -> WeightVec:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A tensor word; ``letters[0]`` is the rightmost factor."""
 
@@ -138,7 +141,7 @@ class Word:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableauSeq:
     """A tagged sequence of partitions starting at the empty partition."""
 
@@ -153,8 +156,8 @@ class TableauSeq:
     def _trusted(cls, family: str, rank: int, steps: tuple[Partition, ...]) -> TableauSeq:
         """A tableau built without validation, for callers that have just checked every step."""
         t = object.__new__(cls)
-        # as the frozen dataclass's __init__ does; filling vars(t) instead would
-        # give every instance a dict of its own
+        # as the frozen dataclass's __init__ does: the fields are slots, and a
+        # frozen instance refuses plain assignment
         object.__setattr__(t, "family", family)
         object.__setattr__(t, "rank", rank)
         object.__setattr__(t, "steps", steps)
@@ -310,6 +313,27 @@ class _State(dict):
 def _states(fill) -> _Table:
     """The states of one transducer, interned by label, each row filled by ``fill(state, key)``."""
     return _Table(lambda label: _State(fill, label))
+
+
+def _pairs() -> _Table:
+    """Two rows of one transducer walked in lockstep, the second one letter behind.
+
+    A pair state is the :class:`_State` row labelled (s, t), for states s
+    and t of the transducer whose rows return (next state, output, value).
+    The letter a is read by s, whose output b is read by t: for
+    ``s2, b, f = s[a]`` and ``t2, c, g = t[b]`` the entry is
+    ``(pairs[s2, t2], c, f, g)``.  So one lookup walks two rows, and a base
+    fill that raises stores nothing, in the base rows or here.
+    """
+
+    def fill(pair: _State, a) -> tuple[_State, object, object, object]:
+        s, t = pair.label
+        s, b, f = s[a]
+        t, c, g = t[b]
+        return pairs[s, t], c, f, g
+
+    pairs = _states(fill)
+    return pairs
 
 
 @cache

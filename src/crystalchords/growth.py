@@ -28,7 +28,8 @@ the raw rule, and only a value the rule returned is stored, so every
 adjacency, strip and filling check still runs once on each distinct cell,
 and a rejected cell is never stored and raises the rule's message every
 time it is met.  The edges memoise the local rules only; they share the
-state class with the promotion route, never a table.
+state class and the pair constructor (:func:`crystals._pairs`) with the
+promotion route, never a table.
 
 Triangular diagrams use corners alpha[i][j] for 0 <= j <= i <= n laid out
 with the hypotenuse alpha[k][k] on the main diagonal (row index growing
@@ -40,16 +41,31 @@ backward sweep builds row i from right to left out of row i - 1: a table
 per family keyed by the pair of steps i - 1 and i (:func:`_seeds`) gives the
 row's starting edge (alpha[i-1][i-1], alpha[i][i-1]), its hypotenuse label
 (doubled for vacillating tableaux) and its first-subdiagonal label, and
-each cell is then one lookup of alpha[i-1][j-1] in the current edge.  The
-forward sweep builds row i - 1 from left to right out of row i, from the
-bottom row up, starting each row on the edge ((), ()) of the left column.
+each cell is then one lookup of alpha[i-1][j-1] in the current edge.  Rows i and i + 1
+are walked as one pair of edges, row i + 1 reading each corner of row i as
+it is written, so each lookup solves two cells (:func:`_backward_sweep`);
+a second table per family, keyed by steps i - 1, i and i + 1
+(:func:`_pair_seeds`), holds both rows' seeds and row i + 1's first cell.  The forward
+sweep builds row i - 1 from left to right out of row i, from the bottom
+row up, starting each row on the edge ((), ()) of the left column.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 
-from .crystals import _INT, FAN, OSCILLATING, VACILLATING, TableauSeq, _State, _states, _Table
+from .crystals import (
+    _INT,
+    FAN,
+    OSCILLATING,
+    VACILLATING,
+    TableauSeq,
+    _pairs,
+    _State,
+    _states,
+    _Table,
+)
 from .weights import Partition, partition
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -296,54 +312,101 @@ def _seeds(family: str) -> _Table:
     return _Table(seed)
 
 
-def _backward_sweep(t: TableauSeq) -> tuple[list[list[Partition]], list[list[int]]]:
-    """Solve the diagram row by row; each row's corners and fillings, right to left.
+@cache
+def _pair_seeds(family: str) -> _Table:
+    """Per steps (i - 1, i, i + 1): the pair state that starts rows i and i + 1, and more.
 
-    Row i lists the corners (i, i), (i, i - 1), ..., (i, 0) and the fillings
-    of cells (i, i - 1), ..., (i, 1).
+    The pair (:func:`crystals._pairs`) is row i's starting edge with row
+    i + 1's edge after cell (i + 1, i), which reads row i's first-subdiagonal
+    label.  The entry also holds row i + 1's first three corners, (i + 1,
+    i + 1), (i + 1, i) and (i + 1, i - 1), and the filling of that cell.
+    """
+    seeds = _seeds(family)
+    pairs = _edge_pairs(_FAMILY_RULE[family])
+
+    def seed(steps: tuple[Partition, Partition, Partition]):
+        p, q, r = steps
+        s, _, sub = seeds[p, q]
+        e, hypotenuse, sub2 = seeds[q, r]
+        e, gamma, m = e[sub]
+        return pairs[s, e], (hypotenuse, sub2, gamma), m
+
+    return _Table(seed)
+
+
+@cache
+def _edge_pairs(rule: str) -> _Table:
+    """The pairs of a rule set's backward edges; each memoises two cells, never a sweep."""
+    return _pairs()
+
+
+def _backward_sweep(
+    t: TableauSeq, start: int
+) -> tuple[list[list[Partition]], list[tuple[int, int, int]]]:
+    """Solve the diagram two rows at a time from row ``start``: corner rows and nonzero fillings.
+
+    Row i lists the corners (i, i), (i, i - 1), ..., (i, 0), right to left.
+    Rows i and i + 1 are walked as one pair, row i + 1 reading each corner of
+    row i as it is written, so only row i + 1 is kept: the corner rows
+    returned are rows start - 1, start + 1, ...  Each cell (i, j) of a walked
+    row with a nonzero filling m is listed as (i, j, m).  Row 1 has no cells,
+    so pairs from row 1 at even n and from row 2 at odd n cover every row.
     """
     if t.weight != ():
         raise ValueError("growth diagrams require weight zero")
-    seeds = _seeds(t.family)
     steps = t.steps
-    row = [()]
+    row = [()] if start == 1 else list(_seeds(t.family)[steps[0], steps[1]][1:])
     rows = [row]
-    fills = [[]]
-    for pair in zip(steps, steps[1:]):
-        s, hypotenuse, sub = seeds[pair]
-        nxt = [hypotenuse, sub]
+    cells = []
+    keep = cells.append
+    pair_seeds = _pair_seeds(t.family)
+    i = start
+    for key in zip(steps[start - 1 :: 2], steps[start::2], steps[start + 1 :: 2]):
+        p, head, g = pair_seeds[key]
+        if g:
+            keep((i + 1, i, g))
+        nxt = list(head)
         push = nxt.append
-        ms = []
-        keep = ms.append
-        # cell (i, j) for j = i - 1, ..., 1 reads its NW corner (i - 1, j - 1)
+        # cells (i, j) and (i + 1, j) for j = i - 1, ..., 1: row i reads the NW
+        # corner (i - 1, j - 1), row i + 1 the SW corner (i, j) row i has just
+        # written; after the push, j = i + 3 - len(nxt)
         for alpha in row[1:]:
-            s, gamma, m = s[alpha]
+            p, gamma, m, g = p[alpha]
             push(gamma)
-            keep(m)
+            if m:
+                keep((i, i + 3 - len(nxt), m))
+            if g:
+                keep((i + 1, i + 3 - len(nxt), g))
         rows.append(nxt)
-        fills.append(ms)
         row = nxt
-    return rows, fills
+        i += 2
+    return rows, cells
 
 
 def growth_corners(t: TableauSeq) -> dict[tuple[int, int], Partition]:
-    """All corner labels of the triangular growth diagram of a weight-zero tableau."""
-    rows, _ = _backward_sweep(t)
-    return {(i, i - k): p for i, row in enumerate(rows) for k, p in enumerate(row)}
+    """All corner labels of the triangular growth diagram of a weight-zero tableau.
+
+    The sweep whose pairs start at row 1 keeps the even rows, the one whose
+    pairs start at row 2 the odd rows; row 1 needs a step.
+    """
+    corners = {}
+    for start in (1, 2)[: len(t.steps)]:
+        rows, _ = _backward_sweep(t, start)
+        for i, row in zip(range(start - 1, len(t.steps), 2), rows):
+            corners.update(((i, i - k), p) for k, p in enumerate(row))
+    return corners
 
 
 def growth_matrix(family: str, t: TableauSeq) -> Matrix:
     """Symmetric chord matrix read off a backward growth sweep."""
     if t.family != family:
         raise ValueError(f"expected a {family} tableau")
-    _, fills = _backward_sweep(t)
+    _, cells = _backward_sweep(t, 1 + len(t) % 2)
     n = len(t)
-    flat = [0] * (n * n)
-    # row a + 1 of cells fills matrix row a leftwards from the diagonal, and column a upwards
-    for a, ms in enumerate(fills[2:], start=1):
-        flat[a * n + a - 1 : a * n - 1 : -1] = ms
-        flat[(a - 1) * n + a :: -n] = ms
-    return tuple(zip(*[iter(flat)] * n))
+    out = [[0] * n for _ in range(n)]
+    for i, j, m in cells:
+        out[i - 1][j - 1] = out[j - 1][i - 1] = m
+    return tuple(map(tuple, out))
 
 
 def lower_triangle_rows(m: Matrix) -> list[list[int]]:
@@ -362,9 +425,16 @@ def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> Tableau
     """
     if _FAMILY_RULE.get(family) != rule:
         raise ValueError(f"rule {rule!r} does not build {family} tableaux")
-    for i, row in enumerate(triangle, start=1):
-        if len(row) != i or not _INT.issuperset(map(type, row)) or min(row) < 0:
-            raise ValueError(f"triangle row {i} must hold {i} non-negative integers")
+    if (
+        [*map(len, triangle)] != [*range(1, len(triangle) + 1)]
+        or not _INT.issuperset(map(type, cells := [*chain.from_iterable(triangle)]))
+        or min(cells, default=0) < 0
+    ):
+        # a good triangle is checked over all its cells at once; only a bad
+        # one is walked row by row, to name its first bad row
+        for i, row in enumerate(triangle, start=1):
+            if len(row) != i or not _INT.issuperset(map(type, row)) or min(row) < 0:
+                raise ValueError(f"triangle row {i} must hold {i} non-negative integers")
     # an empty triangle encodes the empty tableau (length 1 has no weight-zero members)
     hypotenuse = [()]
     if triangle:

@@ -12,9 +12,11 @@ indices mod n, so no geometric cut-and-glue is needed.
 Words are read off the canonical steps through the crystal's step table
 (:func:`crystals.step_letters`), and the states of :class:`_LocalRule` are
 labelled by canonical partitions, so promotion pads, subtracts and trims
-only when a table misses.  A vacillating tableau is promoted as pr_O^2 of
-its oscillating embedding; the checks that the result stays in the image
-run once per stored entry of that walk, not once per call.
+only when a table misses.  Every word that reaches a promotion matrix has
+even length, so its rows are walked two at a time, as pairs of states.  A
+vacillating tableau is promoted as pr_O^2 of its oscillating embedding, one
+pair walk; the checks that the result stays in the image run once per
+stored entry of that walk, not once per call.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .crystals import (
     VACILLATING,
     TableauSeq,
     _letter_of,
+    _pairs,
     _State,
     _states,
     _Table,
@@ -59,7 +62,10 @@ class _LocalRule:
     transition is never stored and raises its message every time it is met;
     ``exits`` holds the letter of each state's step into the empty
     partition, checked the same way.  The table memoises the rule only,
-    never a sweep: each row is still walked cell by cell.
+    never a sweep.  ``pairs`` (:func:`crystals._pairs`) walks rows i and
+    i + 1 of a promotion matrix, or of pr^2, in one lookup per letter of row
+    i; each of its entries is two entries of this table, and memoises two
+    cells, never a row.
 
     ``vacillating`` holds, for the oscillating rule, the checked steps of
     vacillating promotion (:meth:`_vacillating_step`).
@@ -73,6 +79,7 @@ class _LocalRule:
         self.states = _states(self.cell)
         self.zero = self.states[()]
         self.exits = _Table(self._exit)
+        self.pairs = _pairs()
         self.vacillating = _Table(self._vacillating_step)
 
     def cell(self, s: _State, a) -> tuple[_State, object, int]:
@@ -117,22 +124,42 @@ def _local_rule(family: str, rank: int) -> _LocalRule:
     return _LocalRule(family, rank)
 
 
-def _promote_row(rule: _LocalRule, word) -> tuple[list[_State], list]:
-    """States and letters of the promotion of a nonempty word, one lookup per cell.
+def _promote_row(rule: _LocalRule, word) -> list[_State]:
+    """States of the promotion of a nonempty word, one lookup per cell.
 
     The states run from the empty partition back to it; the exit into it is
     checked like every cell.
     """
     s = rule.zero
     row = [s]
-    out = []
+    push = row.append
     for a in word[1:]:
-        s, b, _ = s[a]
-        row.append(s)
-        out.append(b)
-    out.append(rule.exits[s])
-    row.append(rule.zero)
-    return row, out
+        s = s[a][0]
+        push(s)
+    rule.exits[s]
+    push(rule.zero)
+    return row
+
+
+def _promote_twice(rule: _LocalRule, word) -> list[_State]:
+    """States of the second promotion of a word of even length, its two rows walked as one pair.
+
+    Row 2 reads each letter of the promoted word as row 1 writes it
+    (:func:`crystals._pairs`); both exits into the empty partition are
+    checked like every cell.
+    """
+    zero, exits = rule.zero, rule.exits
+    p = rule.pairs[zero[word[1]][0], zero]
+    row = [zero]
+    push = row.append
+    for a in word[2:]:
+        p = p[a][0]
+        push(p.label[1])
+    s, t = p.label
+    t = t[exits[s]][0]
+    exits[t]
+    row += (t, zero)
+    return row
 
 
 def promote(t: TableauSeq) -> TableauSeq:
@@ -149,12 +176,11 @@ def promote(t: TableauSeq) -> TableauSeq:
         return t
     r = t.rank
     if t.family != VACILLATING:
-        row, _ = _promote_row(_local_rule(t.family, r), step_letters(t.family, r, t.steps))
+        row = _promote_row(_local_rule(t.family, r), step_letters(t.family, r, t.steps))
         steps = [s.label for s in row]
     else:
         rule = _local_rule(OSCILLATING, r)
-        _, word = _promote_row(rule, embedded_word(t, OSCILLATING))
-        row, _ = _promote_row(rule, word)
+        row = _promote_twice(rule, embedded_word(t, OSCILLATING))
         checked = rule.vacillating
         steps = [()]
         for k in range(0, len(row) - 1, 2):
@@ -189,38 +215,57 @@ def chord_matrix(tag: str, t: TableauSeq) -> Matrix:
 def _promotion_fill(family: str, rank: int, word, block: int = 1, shift: int = 0) -> Matrix:
     """Filling of the promotion matrix, cell (i, j) read off the sweep making pr^(i+1)(T).
 
-    ``word`` is the word of a weight-zero tableau of ``family``.
-    For k = j - i mod n in 1..n-1 the cell is the table entry met at
-    position k of row i.  On the diagonal lambda is empty, kappa the last
+    ``word`` is the word of a weight-zero tableau of ``family``, of even
+    length.  For k = j - i mod n in 1..n-1 the cell is the table entry met
+    at position k of row i.  On the diagonal lambda is empty, kappa the last
     inner step of pr^(i+1)(T) and nu the first step of pr^i(T); both are the
     one partition a step away from empty, so that cell is a table entry too.
-    Each fill is added into its ``block`` x ``block`` block of the result,
-    whose diagonal starts at ``-shift``.
+    Rows i and i + 1 are walked as one pair (:func:`crystals._pairs`), row
+    i + 1 reading each letter as row i writes it; both fills of a pair entry
+    land in the same column.  Each fill is added into its ``block`` x ``block``
+    block of the result, whose diagonal starts at ``-shift``.
     """
     n = len(word)
     if n == 0:
         return ()
     rule = _local_rule(family, rank)
-    zero, exits = rule.zero, rule.exits
+    zero, exits, pairs = rule.zero, rule.exits, rule.pairs
     m = n // block
     out = [[0] * m for _ in range(m)]
     for i in range(m):
         out[i][i] = -shift
     cols = [j // block for j in range(n)] * 2  # column j mod n, in blocks
-    for i in range(n):
-        acc = out[cols[i]]
-        s = zero
+    for i in range(0, n, 2):
+        acc, acc2 = out[cols[i]], out[cols[i + 1]]
+        at = cols[i + 1 :]  # at[k - 1]: column of position k of row i and k - 1 of row i + 1
+        # position 1 of row i writes the letter that row i + 1 reads last, on its diagonal
+        s, first, f = zero[word[1]]
+        if f:
+            acc[at[0]] += f
+        p = pairs[s, zero]
         nxt = []
         push = nxt.append
-        for a, c in zip(word[1:], cols[i + 1 :]):
-            s, b, f = s[a]
+        for a in word[2:]:
+            p, b, f, g = p[a]
             push(b)
+            # a is at position len(nxt) + 1 of row i
             if f:
-                acc[c] += f
-        push(exits[s])
+                acc[at[len(nxt)]] += f
+            if g:
+                acc2[at[len(nxt)]] += g
+        # row i + 1 reads the exit of row i at position n - 1, in column i
+        s, t = p.label
+        t, b, g = t[exits[s]]
+        push(b)
+        push(exits[t])
         f = s[word[0]][2]
         if f:
             acc[cols[i]] += f
+        if g:
+            acc2[cols[i]] += g
+        g = t[first][2]
+        if g:
+            acc2[at[0]] += g
         word = nxt
     return tuple(map(tuple, out))
 

@@ -582,10 +582,11 @@ def test_growth_table_entries_equal_the_raw_rules():
 
 def test_growth_and_promotion_share_the_state_class_never_a_table():
     """Both routes intern their states as crystals._State rows, each in tables
-    of its own, filled by its own rule."""
+    of its own, filled by its own rule; so do the pairs that walk two rows as
+    one, each pair table holding states of its own route only."""
     from crystalchords import growth
     from crystalchords.crystals import _State
-    from crystalchords.growth import _FAMILY_RULE, _RULES, _edges
+    from crystalchords.growth import _FAMILY_RULE, _RULES, _edge_pairs, _edges
     from crystalchords.promotion import CHORD_MAPS, _local_rule, promote
 
     for family, r, n in ((OSCILLATING, 2, 6), (FAN, 2, 6), (VACILLATING, 2, 5)):
@@ -605,11 +606,144 @@ def test_growth_and_promotion_share_the_state_class_never_a_table():
     assert {e.fill.__module__ for e in edges} == {"crystalchords.growth"}
     for rule in rules:
         assert all(s.fill.__self__ is rule for s in rule.states.values())
+    pair_tables = [_edge_pairs(name) for name in _RULES] + [rule.pairs for rule in rules]
+    assert len({id(table) for table in pair_tables}) == len(pair_tables)
+    growth_pairs = [p for name in _RULES for p in _edge_pairs(name).values()]
+    rule_pairs = [p for rule in rules for p in rule.pairs.values()]
+    assert growth_pairs and rule_pairs
+    assert all(type(x) is _State for x in growth_pairs + rule_pairs)
+    assert not {id(p) for p in growth_pairs} & {id(p) for p in rule_pairs}
+    assert not {id(p) for p in growth_pairs + rule_pairs} & {id(x) for x in edges + states}
+    backward = {name: {id(e) for e in _edges(name, False).values()} for name in _RULES}
+    for name in _RULES:
+        assert all(id(x) in backward[name] for p in _edge_pairs(name).values() for x in p.label)
+    for rule in rules:
+        own = {id(s) for s in rule.states.values()}
+        assert all(id(x) in own for p in rule.pairs.values() for x in p.label)
     assert not [
         name
         for name, x in vars(growth).items()
         if getattr(x, "__module__", None) == "crystalchords.promotion"
     ]
+
+
+# ----------------------------------------------------- paired rows
+
+
+def _run_both_routes(scales):
+    from crystalchords.promotion import CHORD_MAPS, promote
+
+    for family, rmax, nmax in scales:
+        for r, n in itertools.product(range(1, rmax + 1), range(nmax + 1)):
+            for t in enumerate_zero(family, r, n):
+                growth_matrix(family, t)
+                growth_corners(t)
+                promote(t)
+                for tag, source in CHORD_MAPS.items():
+                    if source == family:
+                        chord_matrix(tag, t)
+
+
+def test_every_stored_pair_entry_is_two_base_lookups():
+    """Each pair entry (pair (s, t), a) -> (next, c, f, g) is s[a] = (s2, b, f)
+    followed by t[b] = (t2, c, g), with next the pair interned as (s2, t2);
+    each growth pair seed is two seeds and one cell of the second row."""
+    from crystalchords.growth import _FAMILY_RULE, _RULES, _edge_pairs, _pair_seeds, _seeds
+    from crystalchords.promotion import _local_rule
+
+    _run_both_routes(((OSCILLATING, 3, 8), (FAN, 3, 6), (VACILLATING, 3, 7)))
+    tables = [_edge_pairs(name) for name in _RULES]
+    tables += [_local_rule(family, r).pairs for family in (OSCILLATING, FAN) for r in (1, 2, 3)]
+    counts = []
+    for pairs in tables:
+        count = 0
+        for (s, t), pair in pairs.items():
+            assert pair.label == (s, t)
+            for a, (nxt, c, f, g) in pair.items():
+                s2, b, f2 = s[a]
+                t2, c2, g2 = t[b]
+                assert (c, f, g) == (c2, f2, g2), (s.label, t.label, a)
+                assert nxt is pairs.get((s2, t2)), (s.label, t.label, a)
+                count += 1
+        counts.append(count)
+    assert all(counts), counts
+    for family in (OSCILLATING, FAN, VACILLATING):
+        seeds, pairs = _pair_seeds(family), _edge_pairs(_FAMILY_RULE[family])
+        assert seeds
+        for (p, q, r), (pair, head, m) in seeds.items():
+            s, _, sub = _seeds(family)[p, q]
+            e, hypotenuse, sub2 = _seeds(family)[q, r]
+            e, gamma, m2 = e[sub]
+            assert pair is pairs.get((s, e)) and head == (hypotenuse, sub2, gamma) and m == m2
+
+
+def test_a_rejected_cell_met_through_a_pair_raises_every_time_and_is_never_stored():
+    """Whether the first row's cell or the second row's is rejected, the pair
+    raises the base rule's message every time, and neither the pair table nor
+    the base table stores anything."""
+    from crystalchords.growth import _edge_pairs, _edges
+    from crystalchords.promotion import _LocalRule
+
+    fan = _LocalRule(FAN, 2)
+    edges = _edges("zero_one", False)
+    fan_message = "fan step (1,) -> (1,) must change every part by one"
+    edge_message = "zero_one cell: () -> (2,) must be equal or add one box"
+    # (base states, pair table, first row, second row, letter, message); in the
+    # second case of each route the first row's cell passes, and its output is
+    # the letter that the second row rejects
+    cases = [
+        (fan.states, fan.pairs, fan.states[(1,)], fan.zero, (-1, -1), fan_message),
+        (fan.states, fan.pairs, fan.states[(1, 1)], fan.states[(1,)], (-1, -1), fan_message),
+        (edges, _edge_pairs("zero_one"), edges[(2,), ()], edges[(), ()], (), edge_message),
+        (edges, _edge_pairs("zero_one"), edges[(), ()], edges[(2,), ()], (), edge_message),
+    ]
+    for first, (states, pairs, s, t, a, message) in zip((True, False) * 2, cases):
+        pair = pairs[s, t]
+        before = len(states), len(pairs)
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                pair[a]
+            assert str(info.value) == message
+            assert a not in pair
+            if first:
+                assert a not in s
+            else:
+                assert s[a][1] not in t
+            assert (len(states), len(pairs)) == before
+
+
+@pytest.mark.parametrize("family", [OSCILLATING, FAN, VACILLATING])
+def test_paired_walks_match_the_oracles_at_every_deep_scale(family):
+    """chord_matrix, growth_matrix, growth_corners and vacillating promote,
+    each on its paired walk, against the cell-by-cell oracles: at n = 0, 1, 2
+    up to r = 4, and at every --deep scale of verify, which holds every odd
+    vacillating length up to 7."""
+    from oracles import chord_matrix as chord_oracle
+    from oracles import growth_sweep_by_cells, promote_vacillating
+
+    from crystalchords.cli import VERIFY_RANGES
+    from crystalchords.promotion import CHORD_MAPS, promote
+
+    _, (rmax, nmax) = VERIFY_RANGES[family]
+    scales = {(r, n) for r in range(1, 5) for n in range(3)}
+    scales |= {(r, n) for r in range(1, rmax + 1) for n in range(nmax + 1)}
+    tags = [tag for tag, source in CHORD_MAPS.items() if source == family]
+    count = 0
+    for r, n in sorted(scales):
+        for t in enumerate_zero(family, r, n):
+            corners, fill = growth_sweep_by_cells(t)
+            assert growth_corners(t) == corners, t
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), m in fill.items():
+                rows[i - 1][j - 1] = rows[j - 1][i - 1] = m
+            assert growth_matrix(family, t) == tuple(map(tuple, rows)), t
+            for tag in tags:
+                assert chord_matrix(tag, t) == chord_oracle(tag, t), (tag, t)
+            if family == VACILLATING:
+                assert promote(t) == promote_vacillating(t), t
+            count += 1
+    # the --deep instances of verify, and the two tableaux of rank 4 at n = 0, 2
+    assert count == {OSCILLATING: 1795, FAN: 492, VACILLATING: 120}[family] + 2
 
 
 def test_rejected_growth_cell_raises_every_time_and_is_never_stored():

@@ -210,7 +210,7 @@ def _walk(family, r, word):
     from crystalchords.weights import pad
 
     rule = _LocalRule(family, r)
-    row, _ = _promote_row(rule, word)
+    row = _promote_row(rule, word)
     s, fills = rule.zero, []
     for a in word[1:]:
         s, _, f = s[a]
@@ -464,7 +464,7 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
     rule = promotion._LocalRule(OSCILLATING, 2)
     row = [rule.states[p] for p in forged]
     monkeypatch.setattr(promotion, "_local_rule", lambda family, rank: rule)
-    monkeypatch.setattr(promotion, "_promote_row", lambda rule, word: (row, []))
+    monkeypatch.setattr(promotion, "_promote_twice", lambda rule, word: row)
     entries = [tuple(row[k : k + 3]) for k in range(0, len(row) - 1, 2)]
     for _ in range(2):
         with pytest.raises(NotInImage) as got:
