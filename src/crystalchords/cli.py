@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import random
 import sys
 
@@ -106,6 +105,9 @@ def _emit_tableau(t: TableauSeq, fmt: str) -> str:
 def _pool_map(fn, items, jobs):
     if jobs <= 1 or len(items) < 2:
         return [fn(x) for x in items]
+    # imported here: only --jobs above 1 pays for it
+    import multiprocessing
+
     with multiprocessing.Pool(jobs) as pool:
         return pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
 

@@ -193,16 +193,23 @@ def validate_tableau(t: TableauSeq) -> None:
     for p in steps:
         # the exact type of every part is tested on every call, never memoised:
         # True and 1.0 hash and compare as 1
-        if not (isinstance(p, tuple) and _INT.issuperset(map(type, p))):
-            raise ValueError(f"{p!r} is not a canonical partition")
-        if p not in known:
-            if not is_partition(p) or p and p[-1] == 0:
-                raise ValueError(f"{p!r} is not a canonical partition")
+        if not (isinstance(p, tuple) and _INT.issuperset(map(type, p)) and p in known):
+            _check_canonical(p)
             if len(p) > r:
                 raise ValueError(f"{p} has more than {r} parts")
             known.add(p)
     # the step table stores a step's letter only after check_step passed it
     step_letters(t.family, r, steps)
+
+
+def _check_canonical(p) -> None:
+    """Raise unless p is a canonical partition: a tuple of exact ints, weakly decreasing, all positive."""
+    if (
+        not (isinstance(p, tuple) and _INT.issuperset(map(type, p)))
+        or not is_partition(p)
+        or p and p[-1] == 0
+    ):
+        raise ValueError(f"{p!r} is not a canonical partition")
 
 
 @cache

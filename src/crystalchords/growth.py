@@ -47,7 +47,13 @@ it is written, so each lookup solves two cells (:func:`_backward_sweep`);
 a second table per family, keyed by steps i - 1, i and i + 1
 (:func:`_pair_seeds`), holds both rows' seeds and row i + 1's first cell.  The forward
 sweep builds row i - 1 from left to right out of row i, from the bottom
-row up, starting each row on the edge ((), ()) of the left column.
+row up, starting each row on the edge ((), ()) of the left column.  Rows i
+and i - 1 are walked as one pair of forward edges, keyed by (SE corner,
+fill of row i, fill of row i - 1) (:func:`_forward_pairs`), so each lookup
+solves two cells and row i's last cell, on the hypotenuse, is one more.
+A forward edge passes each NE corner it stores through validate_tableau's
+partition test, and a table keyed by the doubled label (``_HALVES``)
+halves a vacillating hypotenuse.
 """
 
 from __future__ import annotations
@@ -61,12 +67,14 @@ from .crystals import (
     OSCILLATING,
     VACILLATING,
     TableauSeq,
+    _check_canonical,
     _pairs,
     _State,
     _states,
     _Table,
+    step_letters,
 )
-from .weights import Partition, partition
+from .weights import Partition, pad, partition
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -278,6 +286,8 @@ def _edges(rule: str, forward: bool) -> _Table:
             delta, m = key
             alpha, gamma = edge.label
             beta = raw(gamma, delta, alpha, m)
+            # the NE corner passes validate_tableau's partition test once, when stored
+            _check_canonical(beta)
             return edges[beta, delta], beta
 
     else:
@@ -338,6 +348,28 @@ def _pair_seeds(family: str) -> _Table:
 def _edge_pairs(rule: str) -> _Table:
     """The pairs of a rule set's backward edges; each memoises two cells, never a sweep."""
     return _pairs()
+
+
+@cache
+def _forward_pairs(rule: str) -> _Table:
+    """The pairs (s, t) of a rule set's forward edges that walk rows i and i - 1 in one lookup.
+
+    The key is (SE corner, fill of row i, fill of row i - 1): s reads (SE, m)
+    and writes the NE corner, which t reads with the second fill, so the
+    entry for ``s2, beta = s[SE, m]`` and ``t2, beta2 = t[beta, m2]`` is
+    ``(pairs[s2, t2], beta2)``.  A base fill that raises stores nothing here
+    or in the edges; a pair memoises two cells, never a sweep.
+    """
+
+    def cell(pair: _State, key: tuple[Partition, int, int]) -> tuple[_State, Partition]:
+        delta, m, m2 = key
+        s, t = pair.label
+        s, beta = s[delta, m]
+        t, beta = t[beta, m2]
+        return pairs[s, t], beta
+
+    pairs = _states(cell)
+    return pairs
 
 
 def _backward_sweep(
@@ -414,14 +446,70 @@ def lower_triangle_rows(m: Matrix) -> list[list[int]]:
     return [[m[i][j] for j in range(i)] for i in range(1, len(m))]
 
 
+def _forward_sweep(rule: str, triangle: list[list[int]]) -> list[Partition]:
+    """The hypotenuse alpha[0][0], ..., alpha[n][n] of a nonempty triangle's forward sweep.
+
+    Cell (i, j) reads its SE corner (i, j) and the filling triangle[i - 2][j - 1].
+    From the empty bottom row up, rows i and i - 1 are walked as one pair of
+    forward edges (:func:`_forward_pairs`), row i - 1 reading each NE corner
+    of row i as it is written, so only row i - 1's corners are kept.  Row i's
+    last cell, whose NE corner is the hypotenuse label (i - 1, i - 1), is one
+    more lookup in row i's edge.  At an odd number of rows the row left over
+    is row 2, a single cell.  A rejected cell raises the rule's message, and
+    the first one in row order, as a sweep one row at a time would.
+    """
+    start = _edges(rule, True)[(), ()]
+    first = _forward_pairs(rule)[start, start]
+    hypotenuse = [()]
+    # corner row i lists (i, 0), ..., (i, i); every row starts on the left column's edge ((), ())
+    row = [()] * (len(triangle) + 2)
+    rows = triangle[::-1]
+    for fills, above in zip(rows[::2], rows[1::2]):
+        p = first
+        nxt = [()]
+        push = nxt.append
+        try:
+            for key in zip(row[1:], fills, above):
+                p, beta = p[key]
+                push(beta)
+        except ValueError:
+            # row i's cells come before row i - 1's: a rejected one of them names the triangle
+            s = start
+            for key in zip(row[1:], fills):
+                s = s[key][0]
+            raise
+        hypotenuse += (p.label[0][row[-2], fills[-1]][1], beta)
+        row = nxt
+    if len(rows) % 2:
+        hypotenuse.append(start[row[1], rows[-1][0]][1])
+    hypotenuse.append(())
+    hypotenuse.reverse()
+    return hypotenuse
+
+
+def _halve_label(mu: Partition) -> Partition:
+    if any(x & 1 for x in mu):
+        raise ValueError(f"hypotenuse label {mu} is not doubled")
+    return tuple([x >> 1 for x in mu])
+
+
+# a doubled vacillating hypotenuse label -> its half; an odd part raises and stores nothing
+_HALVES = _Table(_halve_label)
+
+
 def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> TableauSeq:
     """Forward sweep of a triangular filling; the hypotenuse read as a tableau.
 
-    Raises :class:`InvalidOutput`, with the rule's message, when a local rule
-    rejects a cell, and when the hypotenuse is not a valid weight-zero member
-    of the family: either way the filling lies outside the image.  A
-    malformed triangle or a rule that does not build the family is a
-    ``ValueError``, raised before the sweep starts.
+    The sweep walks two rows per lookup (:func:`_forward_sweep`).  Each NE
+    corner passes validate_tableau's partition test when its forward edge
+    entry is stored, and the hypotenuse passes the rank's part count and
+    the family's step rule through :func:`crystals.step_letters`, so the
+    tableau is built as trusted.  Raises :class:`InvalidOutput`, with the
+    rule's message, when a local rule rejects a cell, and when the
+    hypotenuse is not a valid weight-zero member of the family: either way
+    the filling lies outside the image.  A malformed triangle or a rule that
+    does not build the family is a ``ValueError``, raised before the sweep
+    starts.
     """
     if _FAMILY_RULE.get(family) != rule:
         raise ValueError(f"rule {rule!r} does not build {family} tableaux")
@@ -435,47 +523,23 @@ def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> Tableau
         for i, row in enumerate(triangle, start=1):
             if len(row) != i or not _INT.issuperset(map(type, row)) or min(row) < 0:
                 raise ValueError(f"triangle row {i} must hold {i} non-negative integers")
-    # an empty triangle encodes the empty tableau (length 1 has no weight-zero members)
-    hypotenuse = [()]
-    if triangle:
-        start = _edges(rule, True)[(), ()]
-        # the bottom row n is empty; row i - 1 is built from row i left to right,
-        # cell (i, j) reading its SE corner (i, j) and the filling triangle[i - 2][j - 1]
-        row = [()] * (len(triangle) + 2)
-        try:
-            for fills in reversed(triangle):
-                s = start
-                nxt = [()]
-                push = nxt.append
-                for key in zip(row[1:], fills):
-                    s, beta = s[key]
-                    push(beta)
-                hypotenuse.append(beta)
-                row = nxt
-        except ValueError as exc:
-            raise InvalidOutput(str(exc)) from exc
-        hypotenuse.append(())
-        hypotenuse.reverse()
     try:
+        # an empty triangle encodes the empty tableau (length 1 has no weight-zero members)
+        hypotenuse = _forward_sweep(rule, triangle) if triangle else [()]
         if family == VACILLATING:
-            if any(x & 1 for mu in hypotenuse for x in mu):
-                odd = next(mu for mu in hypotenuse if any(x & 1 for x in mu))
-                raise ValueError(f"hypotenuse label {odd} is not doubled")
-            hypotenuse = [tuple([x >> 1 for x in mu]) for mu in hypotenuse]
-        t = TableauSeq(family, _infer_rank(family, hypotenuse), tuple(hypotenuse))
+            hypotenuse = [*map(_HALVES.__getitem__, hypotenuse)]
+        longest = max(map(len, hypotenuse))
+        # every coordinate of a fan moves each step, so its rank is forced by step 1
+        r = max(len(hypotenuse[1]) if family == FAN and triangle else longest, 1)
+        if longest > r:
+            # as validate_tableau does, name the first label with too many parts
+            # before any step is checked
+            pad(next(p for p in hypotenuse if len(p) > r), r)
+        step_letters(family, r, hypotenuse)
     except ValueError as exc:
         raise InvalidOutput(str(exc)) from exc
-    if t.weight != ():
-        raise InvalidOutput("hypotenuse does not return to the empty partition")
-    return t
-
-
-def _infer_rank(family: str, steps) -> int:
-    longest = max(map(len, steps), default=0)
-    if family == FAN:
-        # every coordinate moves each step, so the rank is forced by step 1
-        return max(len(steps[1]), 1) if len(steps) > 1 else max(longest, 1)
-    return max(longest, 1)
+    # each label was checked when its edge entry was stored, each step by the step table
+    return TableauSeq._trusted(family, r, tuple(hypotenuse))
 
 
 def _check_block_size(k: int) -> None:

@@ -219,11 +219,13 @@ def _promotion_fill(family: str, rank: int, word, block: int = 1, shift: int = 0
     length.  For k = j - i mod n in 1..n-1 the cell is the table entry met
     at position k of row i.  On the diagonal lambda is empty, kappa the last
     inner step of pr^(i+1)(T) and nu the first step of pr^i(T); both are the
-    one partition a step away from empty, so that cell is a table entry too.
-    Rows i and i + 1 are walked as one pair (:func:`crystals._pairs`), row
-    i + 1 reading each letter as row i writes it; both fills of a pair entry
-    land in the same column.  Each fill is added into its ``block`` x ``block``
-    block of the result, whose diagonal starts at ``-shift``.
+    one partition a step away from empty, so kappa + nu has no negative
+    entry, the step to its dominant form passes :func:`check_step`, and the
+    cell fills 0 without a lookup.  Rows i and i + 1 are walked as one pair
+    (:func:`crystals._pairs`), row i + 1 reading each letter as row i writes
+    it; both fills of a pair entry land in the same column.  Each fill is
+    added into its ``block`` x ``block`` block of the result, whose diagonal
+    starts at ``-shift``.
     """
     n = len(word)
     if n == 0:
@@ -238,8 +240,7 @@ def _promotion_fill(family: str, rank: int, word, block: int = 1, shift: int = 0
     for i in range(0, n, 2):
         acc, acc2 = out[cols[i]], out[cols[i + 1]]
         at = cols[i + 1 :]  # at[k - 1]: column of position k of row i and k - 1 of row i + 1
-        # position 1 of row i writes the letter that row i + 1 reads last, on its diagonal
-        s, first, f = zero[word[1]]
+        s, _, f = zero[word[1]]
         if f:
             acc[at[0]] += f
         p = pairs[s, zero]
@@ -258,14 +259,8 @@ def _promotion_fill(family: str, rank: int, word, block: int = 1, shift: int = 0
         t, b, g = t[exits[s]]
         push(b)
         push(exits[t])
-        f = s[word[0]][2]
-        if f:
-            acc[cols[i]] += f
         if g:
             acc2[cols[i]] += g
-        g = t[first][2]
-        if g:
-            acc2[at[0]] += g
         word = nxt
     return tuple(map(tuple, out))
 

@@ -628,6 +628,26 @@ def growth_sweep_by_cells(t: TableauSeq):
     return corners, fill
 
 
+def forward_hypotenuse_by_cells(rule: str, triangle: list[list[int]]) -> list[Partition]:
+    """Hypotenuse labels (0, 0), ..., (n, n) of the forward growth sweep, cell by cell.
+
+    Corners live in a dict keyed by (i, j), the bottom row n and the left
+    column empty; rows n, n - 1, ..., 2 are solved in turn, each left to
+    right, cell (i, j) by a fresh call of the raw forward rule on its SW, SE
+    and NW corners and the filling triangle[i - 2][j - 1].
+    """
+    forward = _RULES[rule][0]
+    n = len(triangle) + 1
+    corners: dict[tuple[int, int], Partition] = {(n, j): () for j in range(n + 1)}
+    corners.update(((i, 0), ()) for i in range(n + 1))
+    for i in range(n, 1, -1):
+        for j in range(1, i):
+            corners[(i - 1, j)] = forward(
+                corners[(i, j - 1)], corners[(i, j)], corners[(i - 1, j - 1)], triangle[i - 2][j - 1]
+            )
+    return [corners[(k, k)] for k in range(n + 1)] if triangle else [()]
+
+
 def perfect_matchings(points: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
     """Every perfect matching of the points, as chords (a, b) with a < b."""
     if not points:

@@ -402,3 +402,26 @@ def test_chord_maps_of_each_family_and_jobs_default():
         "vacillating": ("M_VO", "M_VF"),
     }
     assert cli.build_parser().parse_args(["verify", "osc-main"]).jobs == 1
+
+
+def test_building_the_parser_leaves_multiprocessing_unimported():
+    """Only --jobs above 1 imports multiprocessing, so a plain run never pays for it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import crystalchords
+
+    src = str(Path(crystalchords.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import crystalchords.cli as cli\n"
+        "cli.build_parser()\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"

@@ -583,10 +583,10 @@ def test_growth_table_entries_equal_the_raw_rules():
 def test_growth_and_promotion_share_the_state_class_never_a_table():
     """Both routes intern their states as crystals._State rows, each in tables
     of its own, filled by its own rule; so do the pairs that walk two rows as
-    one, each pair table holding states of its own route only."""
+    one, each pair table holding states of its own route and direction only."""
     from crystalchords import growth
     from crystalchords.crystals import _State
-    from crystalchords.growth import _FAMILY_RULE, _RULES, _edge_pairs, _edges
+    from crystalchords.growth import _FAMILY_RULE, _RULES, _edge_pairs, _edges, _forward_pairs
     from crystalchords.promotion import CHORD_MAPS, _local_rule, promote
 
     for family, r, n in ((OSCILLATING, 2, 6), (FAN, 2, 6), (VACILLATING, 2, 5)):
@@ -607,16 +607,20 @@ def test_growth_and_promotion_share_the_state_class_never_a_table():
     for rule in rules:
         assert all(s.fill.__self__ is rule for s in rule.states.values())
     pair_tables = [_edge_pairs(name) for name in _RULES] + [rule.pairs for rule in rules]
+    pair_tables += [_forward_pairs(name) for name in _RULES]
     assert len({id(table) for table in pair_tables}) == len(pair_tables)
     growth_pairs = [p for name in _RULES for p in _edge_pairs(name).values()]
+    growth_pairs += [p for name in _RULES for p in _forward_pairs(name).values()]
     rule_pairs = [p for rule in rules for p in rule.pairs.values()]
     assert growth_pairs and rule_pairs
     assert all(type(x) is _State for x in growth_pairs + rule_pairs)
     assert not {id(p) for p in growth_pairs} & {id(p) for p in rule_pairs}
     assert not {id(p) for p in growth_pairs + rule_pairs} & {id(x) for x in edges + states}
     backward = {name: {id(e) for e in _edges(name, False).values()} for name in _RULES}
+    forward = {name: {id(e) for e in _edges(name, True).values()} for name in _RULES}
     for name in _RULES:
         assert all(id(x) in backward[name] for p in _edge_pairs(name).values() for x in p.label)
+        assert all(id(x) in forward[name] for p in _forward_pairs(name).values() for x in p.label)
     for rule in rules:
         own = {id(s) for s in rule.states.values()}
         assert all(id(x) in own for p in rule.pairs.values() for x in p.label)
@@ -808,3 +812,181 @@ def test_growth_inverse_rejects_a_vacillating_hypotenuse_that_is_not_doubled():
             growth_inverse("rsk", [[1]], VACILLATING)
         assert str(info.value) == "hypotenuse label (1,) is not doubled"
     assert growth_inverse("rsk", [[2]], VACILLATING).steps == ((), (1,), ())
+
+
+# ----------------------------------------------------- paired forward sweep
+
+
+def test_every_forward_pair_entry_is_two_forward_edge_lookups():
+    """Each forward pair entry (pair (s, t), (SE, m, m2)) -> (next, beta2) is
+    s[SE, m] = (s2, beta) followed by t[beta, m2] = (t2, beta2), with next the
+    pair interned as (s2, t2), and s and t are forward edges of its rule set."""
+    from crystalchords.growth import _FAMILY_RULE, _edges, _forward_pairs
+
+    for family, rmax, nmax in ((OSCILLATING, 3, 8), (FAN, 3, 6), (VACILLATING, 3, 7)):
+        rule = _FAMILY_RULE[family]
+        for r, n in itertools.product(range(1, rmax + 1), range(nmax + 1)):
+            for t in enumerate_zero(family, r, n):
+                tri = lower_triangle_rows(growth_matrix(family, t))
+                assert growth_inverse(rule, tri, family).steps == t.steps
+        edges = {id(e) for e in _edges(rule, True).values()}
+        pairs = _forward_pairs(rule)
+        count = 0
+        for (s, t), pair in pairs.items():
+            assert pair.label == (s, t) and id(s) in edges and id(t) in edges
+            for (delta, m, m2), (nxt, beta2) in pair.items():
+                s2, beta = s[delta, m]
+                t2, c = t[beta, m2]
+                assert c == beta2, (rule, s.label, t.label, delta, m, m2)
+                assert nxt is pairs.get((s2, t2)), (rule, s.label, t.label, delta, m, m2)
+                count += 1
+        assert count > 10, rule
+
+
+def test_a_rejected_cell_in_a_forward_pair_raises_every_time_and_is_never_stored():
+    """Whether row i's cell or row i - 1's is rejected, the pair raises the rule's
+    message every time, and neither the pair table nor the edges store anything;
+    growth_inverse names the first rejected cell in row order."""
+    from crystalchords.growth import _edges, _forward_pairs
+
+    edges, pairs = _edges("zero_one", True), _forward_pairs("zero_one")
+    start = edges[(), ()]
+    pair = pairs[start, start]
+    message = "zero_one filling must be 0 or 1"
+    # row i's cell of the second key passes and is stored: it writes (1,), which row i - 1 rejects
+    nxt, beta = start[(), 1]
+    for key, first_row in ((((), 2, 0), True), (((), 1, 2), False)):
+        before = len(edges), len(pairs)
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                pair[key]
+            assert str(info.value) == message
+            assert key not in pair
+            if first_row:
+                assert ((), 2) not in start
+            else:
+                assert (beta, 2) not in start and (nxt, start) not in pairs
+            assert (len(edges), len(pairs)) == before
+    # the same second-row cell inside growth_inverse: rows 3 and 2 are one pair
+    for _ in range(2):
+        with pytest.raises(InvalidOutput) as info:
+            growth_inverse("zero_one", [[2], [0, 0]], OSCILLATING)
+        assert str(info.value) == message
+        assert ((), 0, 2) not in pair
+    # row 3 rejects cell (3, 1); row 4, walked in the same pair, rejects cell (4, 3)
+    # later: row 4 comes first, as in a sweep one row at a time
+    with pytest.raises(InvalidOutput) as info:
+        growth_inverse("zero_one", [[0], [2, 0], [0, 1, 1]], OSCILLATING)
+    assert str(info.value) == "a 1 requires equal gamma, delta, alpha"
+
+
+@pytest.mark.parametrize(
+    "family, r, n",
+    [
+        (OSCILLATING, 3, 8),
+        (OSCILLATING, 2, 10),
+        (FAN, 3, 6),
+        (FAN, 2, 8),
+        (VACILLATING, 2, 6),
+        (VACILLATING, 2, 7),
+        (VACILLATING, 1, 3),
+        (VACILLATING, 3, 2),
+    ],
+)
+def test_forward_sweep_matches_the_cell_by_cell_sweep_at_both_row_parities(family, r, n):
+    """n - 1 triangle rows: odd counts leave row 2 over, even ones pair every row.
+    The paired sweep round trips every tableau and gives the cell-by-cell
+    hypotenuse, or its message, on each tableau's triangle and on copies with
+    one cell changed, most of them outside the image."""
+    from oracles import forward_hypotenuse_by_cells
+
+    from crystalchords.growth import _FAMILY_RULE, _forward_sweep
+
+    rule = _FAMILY_RULE[family]
+    triangles = []
+    for t in enumerate_zero(family, r, n):
+        tri = lower_triangle_rows(growth_matrix(family, t))
+        assert growth_inverse(rule, tri, family).steps == t.steps, t
+        assert _forward_sweep(rule, tri) == forward_hypotenuse_by_cells(rule, tri), t
+        triangles.append(tri)
+    assert triangles
+    rng = random.Random(n)
+    compared = 0
+    for _ in range(300):
+        tri = [row[:] for row in rng.choice(triangles)]
+        if tri:
+            row = rng.choice(tri)
+            row[rng.randrange(len(row))] = rng.choice((0, 1, 2))
+        try:
+            want = forward_hypotenuse_by_cells(rule, tri)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                _forward_sweep(rule, tri)
+            assert str(info.value) == str(exc), tri
+            continue
+        assert _forward_sweep(rule, tri) == want, tri
+        compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("label", [(1, 2), (1, 0)])
+def test_a_forward_rule_that_writes_no_partition_is_invalid_output(monkeypatch, label):
+    """The NE corner of each stored forward entry passes validate_tableau's
+    partition test: a rule returning a label that is not a canonical partition
+    raises InvalidOutput with validate_tableau's message, and nothing is stored."""
+    from functools import cache
+
+    from crystalchords import growth
+    from crystalchords.crystals import TableauSeq, validate_tableau
+
+    with pytest.raises(ValueError) as want:
+        validate_tableau(TableauSeq._trusted(OSCILLATING, 2, ((), label, ())))
+    rule = "zero_one"
+    monkeypatch.setitem(growth._RULES, rule, (lambda *cell: label, growth._RULES[rule][1]))
+    # fresh tables for the patched rule; the originals come back with the patch undone
+    monkeypatch.setattr(growth, "_edges", cache(growth._edges.__wrapped__))
+    monkeypatch.setattr(growth, "_forward_pairs", cache(growth._forward_pairs.__wrapped__))
+    for triangle in ([[0]], [[0], [0, 0]]):
+        for _ in range(2):
+            with pytest.raises(InvalidOutput) as info:
+                growth_inverse(rule, triangle, OSCILLATING)
+            assert str(info.value) == str(want.value)
+        edges, pairs = growth._edges(rule, True), growth._forward_pairs(rule)
+        assert [e.label for e in edges.values()] == [((), ())]
+        assert not any(edges.values()) and not any(pairs.values())
+
+
+def _triangles(n):
+    """Every triangle of a length-n tableau with entries 0-2."""
+    size = (n - 1) * n // 2 if n > 1 else 0
+    for cells in itertools.product(range(3), repeat=size):
+        yield [list(cells[i * (i - 1) // 2 : i * (i + 1) // 2]) for i in range(1, max(n, 1))]
+
+
+def test_growth_inverse_outcomes_on_every_small_triangle_are_unchanged():
+    """The value, or the exception type and message, of growth_inverse on every
+    triangle with entries 0-2 and n <= 5 (59,810 per family), hashed; the
+    digests were recorded from the sweep that walked one row per lookup and
+    built its hypotenuse through the TableauSeq constructor."""
+    import hashlib
+
+    from crystalchords.growth import _FAMILY_RULE
+
+    digests = {
+        OSCILLATING: "80d5995b973f32cbb50a38376e8526afeb1dccb0d56cfa8e9b4b4a88b91c6c40",
+        FAN: "a41d84d585c23de2018f77ff92dd8f86333e5b223d3319eccc4ba41e3bdf75c8",
+        VACILLATING: "82db99368e05dd247e62b27be5342221f559bb93816135697bc0752e96b8f8ae",
+    }
+    for family, rule in _FAMILY_RULE.items():
+        h = hashlib.sha256()
+        count = 0
+        for n in range(6):
+            for tri in _triangles(n):
+                try:
+                    outcome = repr(growth_inverse(rule, tri, family).steps)
+                except Exception as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                h.update(f"{tri}:{outcome}\n".encode())
+                count += 1
+        assert count == 59_810
+        assert h.hexdigest() == digests[family], family

@@ -476,6 +476,62 @@ def test_vacillating_promote_rejects_a_forged_image(monkeypatch, steps, forged):
         assert not any(stored[bad:]) and len(rule.vacillating) == bad
 
 
+def test_the_exit_of_the_second_row_of_pr_o_squared_is_checked(monkeypatch):
+    """One forged pair entry makes row 2 of pr_O^2 end on (1, 1), which has no
+    step into the empty partition: the exit check raises its message every
+    time, and no exit or vacillating entry is stored."""
+    from crystalchords import promotion
+    from crystalchords.virtual import embedded_word
+
+    v = tableau(VACILLATING, 2, [(), (1,), ()])
+    rule = promotion._LocalRule(OSCILLATING, 2)
+    monkeypatch.setattr(promotion, "_local_rule", lambda family, rank: rule)
+    assert promote(v).steps == v.steps
+    word = embedded_word(v, OSCILLATING)
+    p = rule.pairs[rule.zero[word[1]][0], rule.zero]
+    for a in word[2:-1]:
+        p = p[a][0]
+    nxt, c, f, g = p[word[-1]]
+    s = nxt.label[0]
+    # row 1 still ends on s, whose exit passes; (2, 1) steps to (1, 1) on that exit
+    p[word[-1]] = (rule.pairs[s, rule.states[(2, 1)]], c, f, g)
+    before = len(rule.exits), len(rule.vacillating)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            promote(v)
+        assert str(info.value) == "oscillating step (1, 1) -> () must add or remove one box"
+        assert rule.states[(1, 1)] not in rule.exits
+        assert (len(rule.exits), len(rule.vacillating)) == before
+
+
+def test_the_diagonal_cells_of_every_deep_rule_fill_zero():
+    """The promotion matrix skips its diagonal cells: there kappa and nu are the
+    partitions a step away from empty, and on every such pair, for each family
+    and rank that a --deep chord map runs on, the cell passes check_step and
+    fills 0."""
+    from crystalchords.cli import VERIFY_RANGES
+    from crystalchords.crystals import _children, step_letters
+    from crystalchords.promotion import _LocalRule
+
+    ranks = {OSCILLATING: set(), FAN: set()}
+    for family, (_, (rmax, _)) in VERIFY_RANGES.items():
+        # M_VO and M_VF run the oscillating and fan rules at the vacillating rank
+        for rule_family in ranks if family == VACILLATING else (family,):
+            ranks[rule_family].update(range(1, rmax + 1))
+    count = 0
+    for family, rs in ranks.items():
+        for r in sorted(rs):
+            # a fresh rule: its cells are computed here, not read from a table
+            rule = _LocalRule(family, r)
+            ones = _children(family, r, ())
+            for kappa in ones:
+                for nu in ones:
+                    (a,) = step_letters(family, r, ((), nu))
+                    assert rule.states[kappa][a][2] == 0, (family, r, kappa, nu)
+                    count += 1
+    assert count == 6
+
+
 def test_vacillating_chord_maps_build_no_validating_embedding(monkeypatch):
     """M_VO and M_VF run on the embedded words of the validated input; the
     public embeddings, which validate, are never called."""
