@@ -484,18 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--format", choices=("json", "ascii"), default="ascii")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("promote", help="apply promotion")
     add_tableau_args(p)
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--orbit", action="store_true", help="print the full promotion orbit")
-    p.set_defaults(func=cmd_promote)
 
     p = sub.add_parser("chord", help="chord-diagram adjacency matrix")
     add_tableau_args(p)
     p.add_argument("--map", choices=CHORD_MAPS)
-    p.set_defaults(func=cmd_chord)
 
     p = sub.add_parser("growth", help="growth-diagram matrix and round trips")
     add_tableau_args(p)
@@ -504,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--triangle", action="store_true", help="print the filling as triangle rows"
     )
-    p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", help=", ".join(SUITES))
@@ -514,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=10000, help="rule-inversion sample size")
     p.add_argument("--deep", action="store_true", help="extend to the stretch ranges")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("csp", help="cyclic sieving check")
     p.add_argument("--family", required=True)
@@ -526,20 +521,40 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record the outcome without failing the exit code",
     )
-    p.set_defaults(func=cmd_csp)
 
     p = sub.add_parser("golden", help="replay the frozen worked examples")
     p.add_argument("--name", help="run a single named check")
-    p.set_defaults(func=cmd_golden)
 
     return parser
 
 
+# each subcommand's function, looked up by name at every call
+COMMANDS = {
+    "enumerate": cmd_enumerate,
+    "promote": cmd_promote,
+    "chord": cmd_chord,
+    "growth": cmd_growth,
+    "verify": cmd_verify,
+    "csp": cmd_csp,
+    "golden": cmd_golden,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of :func:`main` in this process.
+
+    Building a parser takes about 1 ms and leaves argparse objects in
+    reference cycles, so repeated in-process calls share it.  It holds no
+    command function, only the command's name.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -338,32 +338,36 @@ def orbit_decomposition(
     # plain tuples hash and compare in C; the frozen dataclass's own
     # __hash__ and __eq__ are Python functions that rebuild this tuple each call
     key = attrgetter("family", "rank", "steps")
-    seen: set[tuple] = set()
-    orbits = []
-    universe = set(map(key, elements))
+    # each distinct element numbered in order of first appearance, so an
+    # element listed twice is one element; an element's key is hashed once
+    # here and once when the action reaches it
+    index: dict[tuple, int] = {}
+    distinct = []
     for t in elements:
-        k = key(t)
-        if k in seen:
+        if index.setdefault(key(t), len(distinct)) == len(distinct):
+            distinct.append(t)
+    seen = bytearray(len(distinct))
+    orbits = []
+    for i, t in enumerate(distinct):
+        if seen[i]:
             continue
-        orbit = [k]
+        size = 1
         cur = action(t)
-        c = key(cur)
-        while c != k:
-            if c not in universe:
+        j = index.get(key(cur))
+        while j != i:
+            if j is None:
                 raise ValueError(f"action leaves the set on {t}")
-            if len(orbit) == len(universe):
+            if size == len(distinct):
                 raise ValueError(
-                    f"action does not return to {t} within {len(universe)} steps"
+                    f"action does not return to {t} within {len(distinct)} steps"
                 )
-            orbit.append(c)
+            seen[j] = 1
+            size += 1
             cur = action(cur)
-            c = key(cur)
-        seen.update(orbit)
-        if order % len(orbit):
-            raise ValueError(
-                f"orbit size {len(orbit)} does not divide the order {order}"
-            )
-        orbits.append((t, len(orbit)))
+            j = index.get(key(cur))
+        if order % size:
+            raise ValueError(f"orbit size {size} does not divide the order {order}")
+        orbits.append((t, size))
     return OrbitDecomposition(tuple(orbits))
 
 

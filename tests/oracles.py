@@ -20,6 +20,8 @@ from crystalchords.crystals import (
     VACILLATING,
     TableauSeq,
     Word,
+    _children,
+    _feasible,
     letter_weight,
     letters,
 )
@@ -479,6 +481,36 @@ def enumerate_zero_validated(family: str, r: int, n: int) -> list[TableauSeq]:
 
     extend([()])
     return sorted(out, key=lambda t: t.steps)
+
+
+def enumerate_zero_by_dfs(
+    family: str, r: int, n: int, prefix: Sequence[Partition] = ((),)
+) -> list[TableauSeq]:
+    """The listing by one depth-first search over all n steps, tableau by tableau.
+
+    The library's search before it split each tableau into a head and a
+    memoised tail: same next steps, same feasibility cut, same order.
+    """
+    start = [partition(p) for p in prefix]
+    if any(q not in _children(family, r, p) for p, q in zip(start, start[1:])):
+        return []
+    if n % 2 and family != VACILLATING:
+        return []
+    results: list[TableauSeq] = []
+    if _feasible(family, start[-1], n - len(start) + 1):
+        _extend(family, r, start, n - len(start) + 1, results)
+    return results
+
+
+def _extend(family: str, r: int, steps: list, remaining: int, results: list) -> None:
+    if remaining == 0:
+        results.append(TableauSeq._trusted(family, r, tuple(steps)))
+        return
+    for q in _children(family, r, steps[-1]):
+        if _feasible(family, q, remaining - 1):
+            steps.append(q)
+            _extend(family, r, steps, remaining - 1, results)
+            steps.pop()
 
 
 def iter_words(kind: str, r: int, n: int) -> Iterator[Word]:

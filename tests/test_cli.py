@@ -425,3 +425,64 @@ def test_building_the_parser_leaves_multiprocessing_unimported():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def test_main_builds_its_parser_once_and_prints_the_same_bytes(capsys, monkeypatch):
+    """In-process calls share one parser, print what a fresh interpreter
+    prints, and leave no garbage in reference cycles behind."""
+    import gc
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import crystalchords
+    from crystalchords import cli
+
+    built = []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    build = cli.build_parser
+    assert build() is not build()  # the public builder still returns a fresh parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    commands = [
+        ["enumerate", "--family", "vac", "--r", "2", "--n", "5", "--format", "json"],
+        ["verify", "fans-main", "--r", "2", "--n", "6"],
+        ["csp", "--family", "fan", "--r", "2", "--n", "6", "--poly", "f"],
+    ]
+    src = str(Path(crystalchords.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        for argv in commands:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "crystalchords.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            assert run(capsys, *argv) == (0, fresh, "")
+            gc.collect()
+            gc.disable()
+            try:
+                assert run(capsys, *argv) == (0, fresh, "")
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_main_finds_each_command_by_name_at_every_call(capsys, monkeypatch):
+    """The shared parser holds no command function, so a command rebound after
+    the first call (as a tracer does) is the one that runs."""
+    from crystalchords import cli
+
+    assert run(capsys, "enumerate", "--family", "fan", "--r", "2", "--n", "4", "--count-only")[:2] == (0, "3\n")
+    monkeypatch.setitem(cli.COMMANDS, "enumerate", lambda args: print("rebound", args.n) or 0)
+    assert run(capsys, "enumerate", "--family", "fan", "--r", "2", "--n", "4")[:2] == (0, "rebound 4\n")

@@ -1,5 +1,8 @@
+import copy
 import gc
 import itertools
+import pickle
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -392,17 +395,67 @@ def test_cvec_order_follows_letters(r):
     assert [bvec_order(x, r) for x in letters(BVEC, r)] == list(range(1, 2 * r + 2))
 
 
-def test_enumerate_zero_prefix_splitting():
+def _prefixes(family, r, length):
+    """Every run of ``length`` partitions from () along next steps, in lexicographic order."""
     from crystalchords.crystals import _children
 
-    full = enumerate_zero(FAN, 2, 6)
-    split = []
-    for q in _children(FAN, 2, ()):
-        split.extend(enumerate_zero(FAN, 2, 6, prefix=[(), q]))
-    assert split == full
+    runs = [((),)]
+    for _ in range(length - 1):
+        runs = [run + (q,) for run in runs for q in _children(family, r, run[-1])]
+    return runs
+
+
+def test_enumerate_zero_prefix_splitting():
+    """Prefixes of every length, shorter than a head (n // 2 + 1 steps), as long
+    and longer, split the listing at even n and at odd vacillating n: their
+    listings, in prefix order, are the full one, and each equals the
+    depth-first search's."""
+    for family, r, n in [(FAN, 2, 6), (OSCILLATING, 2, 6), (VACILLATING, 2, 5), (VACILLATING, 1, 7)]:
+        full = enumerate_zero(family, r, n)
+        assert full
+        for length in range(1, n + 2):
+            split = []
+            for run in _prefixes(family, r, length):
+                part = enumerate_zero(family, r, n, prefix=run)
+                assert part == oracles.enumerate_zero_by_dfs(family, r, n, prefix=run), run
+                assert all(t.steps[:length] == run for t in part)
+                split += part
+            assert split == full, (family, r, n, length)
     assert enumerate_zero(FAN, 2, 6, prefix=[(), (2,)]) == []
     with pytest.raises(ValueError):
         enumerate_zero(FAN, 2, 2, prefix=[(1, 1)])
+
+
+def test_a_whole_tableau_as_prefix_lists_itself():
+    full = enumerate_zero(FAN, 2, 6)
+    steps = full[-1].steps
+    assert enumerate_zero(FAN, 2, 6, prefix=steps) == [full[-1]]
+    assert enumerate_zero(FAN, 2, 6, prefix=steps[:-1] + ((1, 1),)) == []
+    with pytest.raises(ValueError):
+        enumerate_zero(FAN, 2, 2, prefix=[(), (1, 1), (), (1, 1)])
+
+
+def _listing_scales():
+    """Every --deep verify scale, the benchmark's listings, osc r=4 n=12 and vac r=2 n=12."""
+    from crystalchords.cli import VERIFY_RANGES
+
+    deep = [
+        (family, r, n)
+        for family, (_, (rmax, nmax)) in VERIFY_RANGES.items()
+        for r in range(1, rmax + 1)
+        for n in range(nmax + 1)
+    ]
+    bench = [(OSCILLATING, 4, 10), (FAN, 4, 8), (FAN, 3, 10), (VACILLATING, 2, 10)]
+    return deep + bench + [(OSCILLATING, 4, 12), (VACILLATING, 2, 12)]
+
+
+def test_enumerate_zero_equals_the_depth_first_search():
+    """Heads with memoised tails list the same tableaux in the same order as
+    one depth-first search over every step."""
+    for family, r, n in _listing_scales():
+        got = enumerate_zero(family, r, n)
+        assert got == oracles.enumerate_zero_by_dfs(family, r, n), (family, r, n)
+        assert [t.steps for t in got] == sorted(t.steps for t in got), (family, r, n)
 
 
 def test_enumerate_zero_odd_length_checks_the_prefix_first():
@@ -520,6 +573,36 @@ def test_trusted_and_validated_tableaux_are_interchangeable():
     assert hash(trusted) == hash(validated)
     assert len({trusted, validated}) == 1
     assert trusted != TableauSeq(OSCILLATING, 3, steps)
+    word = Word._trusted(CVEC, 2, (1, 2, -2, -1))
+    checked = Word(CVEC, 2, (1, 2, -2, -1))
+    assert word == checked and checked == word
+    assert hash(word) == hash(checked)
+    assert len({word, checked}) == 1
+    assert word != Word(CVEC, 3, (1, 2, -2, -1))
+    assert tableau_to_word(trusted) == checked
+
+
+@pytest.mark.parametrize(
+    "trusted",
+    [
+        TableauSeq._trusted(OSCILLATING, 2, ((), (1,), (1, 1), (1,), ())),
+        Word._trusted(CVEC, 2, (1, 2, -2, -1)),
+    ],
+    ids=["TableauSeq", "Word"],
+)
+def test_trusted_instances_are_frozen_slotted_and_copy_like_validated_ones(trusted):
+    """The trusted constructors write the slots directly; the instance is as the
+    dataclass's own __init__ would have left it."""
+    cls = type(trusted)
+    first = fields(cls)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(trusted, first, getattr(trusted, first))
+    with pytest.raises(FrozenInstanceError):
+        delattr(trusted, first)
+    assert not hasattr(trusted, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(trusted)), copy.copy(trusted), copy.deepcopy(trusted)):
+        assert type(twin) is cls and twin == trusted
+        assert twin == cls(*(getattr(trusted, f.name) for f in fields(cls)))
 
 
 @pytest.mark.parametrize("family", [OSCILLATING, FAN, VACILLATING])

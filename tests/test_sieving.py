@@ -267,6 +267,21 @@ def test_orbit_decomposition_orders():
         orbit_decomposition(xs, 4)
 
 
+def test_an_element_listed_twice_is_one_element():
+    """Duplicates after the first appearance, as the same object or as a
+    validated copy, change neither the orbits nor the cut on a walk that
+    misses its start."""
+    xs = enumerate_zero(FAN, 2, 6)
+    dec = orbit_decomposition(xs, 6)
+    copy = TableauSeq(xs[3].family, xs[3].rank, xs[3].steps)
+    for listing in (xs + [xs[0]], xs[:4] + [copy] + xs[4:] + [xs[-1]], xs + xs):
+        again = orbit_decomposition(listing, 6)
+        assert again.sizes == dec.sizes and again.orbits == dec.orbits
+    els = enumerate_zero(OSCILLATING, 2, 4)
+    with pytest.raises(ValueError, match=rf"within {len(els)} steps$"):
+        orbit_decomposition(els + els, 4, action=lambda t: els[0])
+
+
 def test_orbit_decomposition_stops_when_the_action_misses_its_start():
     """A constant action walks t into a fixed point other than t; that is reported."""
     els = enumerate_zero(OSCILLATING, 2, 4)
