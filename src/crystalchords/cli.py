@@ -18,6 +18,7 @@ from .crystals import (
     OSCILLATING,
     VACILLATING,
     TableauSeq,
+    _blocks,
     enumerate_zero,
 )
 from .fixtures import golden_checks
@@ -117,11 +118,11 @@ def _pool_map(fn, items, jobs):
 
 def cmd_enumerate(args) -> int:
     family = _family(args.family)
-    items = enumerate_zero(family, args.r, args.n)
     if args.count_only:
-        print(len(items))
+        # each block's tails are its tableaux, so none is built to be counted
+        print(sum(len(tails) for _, tails in _blocks(family, args.r, args.n)))
         return 0
-    for t in items:
+    for t in enumerate_zero(family, args.r, args.n):
         print(_emit_tableau(t, args.format))
     return 0
 
@@ -200,20 +201,17 @@ def cmd_growth(args) -> int:
     return 0
 
 
-# plain and --deep (max rank, max length) of each family, in report order
+# plain and --deep (max rank, max length) of each family
 VERIFY_RANGES = {
     OSCILLATING: ((3, 8), (3, 10)),
     FAN: ((3, 6), (3, 8)),
     VACILLATING: ((2, 6), (3, 7)),
 }
 
-# the main suites check one family; rotation, order, blowup-lemmas run over all
-MAIN_SUITE_FAMILY = {"osc-main": OSCILLATING, "fans-main": FAN, "vac-main": VACILLATING}
-
 
 def _scales(suite: str, args) -> list[tuple[str, int, int]]:
     """(family, r, n) triples covered by a verification suite."""
-    families = [MAIN_SUITE_FAMILY[suite]] if suite in MAIN_SUITE_FAMILY else list(VERIFY_RANGES)
+    families = _SUITE_TABLE[suite][0]
     if args.family:
         families = [f for f in families if f == _family(args.family)]
     out = []
@@ -238,14 +236,15 @@ def _check_main(t: TableauSeq) -> str | None:
 
 
 def _check_rotation(t: TableauSeq) -> str | None:
+    n = len(t)
+    promoted = promote(t)
     for tag in FAMILY_MAPS[t.family]:
         m = chord_matrix(tag, t)
-        n = len(t)
         if any(m[i][j] != m[j][i] for i in range(n) for j in range(n)):
             return f"{tag} not symmetric"
         if any(m[i][i] for i in range(n)):
             return f"{tag} has a nonzero diagonal"
-        if chord_matrix(tag, promote(t)) != rotate_matrix(m):
+        if chord_matrix(tag, promoted) != rotate_matrix(m):
             return f"{tag} does not intertwine promotion with rotation"
     if t.family == OSCILLATING:  # m is M_O, the only oscillating map
         if any(sum(row) != 1 for row in m) or any(sum(col) != 1 for col in zip(*m)):
@@ -290,16 +289,17 @@ def _guarded(check, t: TableauSeq) -> str | None:
         return _exception_reason(exc)
 
 
-_SUITE_CHECK = {
-    "osc-main": _check_main,
-    "fans-main": _check_main,
-    "vac-main": _check_main,
-    "rotation": _check_rotation,
-    "order": _check_order,
-    "blowup-lemmas": _check_blowup,
+# each per-tableau suite: the families it checks, in report order, and its check
+_SUITE_TABLE = {
+    "osc-main": ((OSCILLATING,), _check_main),
+    "fans-main": ((FAN,), _check_main),
+    "vac-main": ((VACILLATING,), _check_main),
+    "rotation": (FAMILIES, _check_rotation),
+    "order": (FAMILIES, _check_order),
+    "blowup-lemmas": (FAMILIES, _check_blowup),
 }
 # rule-inversion samples growth cells, not tableaux, so it has no per-tableau check
-SUITES = (*_SUITE_CHECK, "rule-inversion")
+SUITES = (*_SUITE_TABLE, "rule-inversion")
 
 
 def rule_inversion_cells(cases: int, seed: int):
@@ -378,34 +378,25 @@ def cmd_verify(args) -> int:
         if value is not None and value < least:
             raise UsageError(f"{flag} must be at least {least}")
     if suite == "rule-inversion":
-        failures = _rule_inversion_failures(args.cases)
-        report = {
-            "suite": suite,
-            "cases": args.cases,
-            "ok": not failures,
-            "counterexamples": failures[:10],
-        }
-        print(dump_json(report))
-        return 0 if not failures else CHECK_FAILED
-    # a partial of module-level functions, so --jobs N can pickle it
-    check = functools.partial(_guarded, _SUITE_CHECK[suite])
+        return _report(suite, "cases", args.cases, _rule_inversion_failures(args.cases))
     scales = _scales(suite, args)
     if not scales:
         raise UsageError(f"suite {suite!r} checks no {_family(args.family)} tableaux")
-    instances = 0
-    failures = []
-    for family, r, n in scales:
-        items = enumerate_zero(family, r, n)
-        instances += len(items)
-        for t, res in zip(items, _pool_map(check, items, args.jobs)):
-            if res is not None:
-                failures.append({"family": family, "r": r, "tableau": render_tableau(t), "reason": res})
-    report = {
-        "suite": suite,
-        "instances": instances,
-        "ok": not failures,
-        "counterexamples": failures[:10],
-    }
+    # every scale in one list, so a run opens at most one pool
+    items = [t for family, r, n in scales for t in enumerate_zero(family, r, n)]
+    # a partial of module-level functions, so --jobs N can pickle it
+    check = functools.partial(_guarded, _SUITE_TABLE[suite][1])
+    failures = [
+        {"family": t.family, "r": t.rank, "tableau": render_tableau(t), "reason": res}
+        for t, res in zip(items, _pool_map(check, items, args.jobs))
+        if res is not None
+    ]
+    return _report(suite, "instances", len(items), failures)
+
+
+def _report(suite: str, size_name: str, size: int, failures: list[dict]) -> int:
+    """Print a suite's report, which names its size (cases or instances), and return the exit code."""
+    report = {"suite": suite, size_name: size, "ok": not failures, "counterexamples": failures[:10]}
     print(dump_json(report))
     return 0 if not failures else CHECK_FAILED
 

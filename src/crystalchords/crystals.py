@@ -21,13 +21,15 @@ checks in one pass.  :func:`enumerate_zero` lists next steps by the same
 rule, memoised per partition.  It builds each tableau as a head, listed
 depth-first up to the middle step, followed by a tail back to the empty
 partition; tails are memoised for the one call.  Heads come in
-lexicographic order and so do each head's tails, so the listing does too.
+lexicographic order and so do each head's tails, so the listing does too,
+and a count sums the tails of each head without building a tableau.
 :func:`tableau_to_word` reads each step back as a letter from the step
 table of its (family, rank), keyed by the pair of canonical partitions and
 filled on first use, so no call pads or subtracts.  Its fill runs
-:func:`check_step`, so :func:`validate_tableau` checks steps through it;
-the promotion rule takes its words from it.  The crystal operators e_i and
-f_i, which define highest weight, follow the same factor order and live in
+:func:`check_step`, so :func:`validate_tableau` checks steps through it,
+after checking every partition itself on every call; the promotion rule
+takes its words from it.  The crystal operators e_i and f_i, which define
+highest weight, follow the same factor order and live in
 ``tests/oracles.py`` as the definition the tests hold this rule to.
 
 Every lazy table follows one memo policy, written here once: a missing key
@@ -207,15 +209,11 @@ def validate_tableau(t: TableauSeq) -> None:
     if not steps or steps[0] != ():
         raise ValueError("step sequence must start at the empty partition")
     r = t.rank
-    known = _valid_partitions(r)
     for p in steps:
-        # the exact type of every part is tested on every call, never memoised:
-        # True and 1.0 hash and compare as 1
-        if not (isinstance(p, tuple) and _INT.issuperset(map(type, p)) and p in known):
-            _check_canonical(p)
-            if len(p) > r:
-                raise ValueError(f"{p} has more than {r} parts")
-            known.add(p)
+        # checked on every call, never memoised: True and 1.0 hash and compare as 1
+        _check_canonical(p)
+        if len(p) > r:
+            raise ValueError(f"{p} has more than {r} parts")
     # the step table stores a step's letter only after check_step passed it
     step_letters(t.family, r, steps)
 
@@ -228,12 +226,6 @@ def _check_canonical(p) -> None:
         or p and p[-1] == 0
     ):
         raise ValueError(f"{p!r} is not a canonical partition")
-
-
-@cache
-def _valid_partitions(r: int) -> set[Partition]:
-    """Canonical partitions of int parts with at most r parts, added as they pass."""
-    return set()
 
 
 _UNIT_MOVES = frozenset((1, -1))
@@ -433,6 +425,21 @@ def enumerate_zero(
     their outputs in prefix order reproduces the full listing.  A prefix
     that reaches past the middle step is itself the one head.
     """
+    trusted = TableauSeq._trusted
+    # every step came from _children, so no tableau needs validation
+    return [
+        trusted(family, r, head + tail)
+        for head, tails in _blocks(family, r, n, prefix)
+        for tail in tails
+    ]
+
+
+def _blocks(family: str, r: int, n: int, prefix: Sequence[Partition] | None = None):
+    """The listing of :func:`enumerate_zero` as (head, tails) blocks, in order.
+
+    Each block's tableaux are ``head + tail`` for its tails in turn, so the
+    sum of the tails' lengths counts the listing without building it.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     for name, value in (("rank", r), ("length", n)):
@@ -445,41 +452,32 @@ def enumerate_zero(
         raise ValueError("prefix must start empty and fit the length")
     for p, q in zip(start, start[1:]):
         if q not in _children(family, r, p):
-            return []
+            return
     if n % 2 and family != VACILLATING:
         # a step changes the size of an oscillating tableau, and every part of
         # a fan, by one, so only a vacillating tableau returns to empty in odd n
-        return []
+        return
     if not _feasible(family, start[-1], n - len(start) + 1):
-        return []
-    results: list[TableauSeq] = []
+        return
     tails = {((), 0): [()]}  # the one tail with no step left
-    _heads(family, r, n, start, max(len(start) - 1, n // 2), tails, results)
-    return results
+    yield from _heads(family, r, n, start, max(len(start) - 1, n // 2), tails)
 
 
-def _heads(
-    family: str, r: int, n: int, steps: list, last: int, tails: dict, results: list
-) -> None:
-    """Append, in order, every tableau whose steps start with ``steps``.
+def _heads(family: str, r: int, n: int, steps: list, last: int, tails: dict):
+    """Yield, in order, a (head, tails) block for each head that starts with ``steps``.
 
     The heads are the feasible extensions of ``steps`` to step ``last``,
-    listed depth-first; each is followed by its :func:`_tails`.
+    listed depth-first; each comes with its :func:`_tails`.
     """
     # not a closure: a recursive closure is a cycle that outlives the call until gc runs
     i = len(steps)
     if i > last:
-        head = tuple(steps)
-        trusted = TableauSeq._trusted
-        # every step came from _children, so no tableau needs validation
-        results += [
-            trusted(family, r, head + t) for t in _tails(family, r, head[-1], n - last, tails)
-        ]
+        yield tuple(steps), _tails(family, r, steps[-1], n - last, tails)
         return
     for q in _children(family, r, steps[-1]):
         if _feasible(family, q, n - i):
             steps.append(q)
-            _heads(family, r, n, steps, last, tails, results)
+            yield from _heads(family, r, n, steps, last, tails)
             steps.pop()
 
 

@@ -262,7 +262,7 @@ def test_verify_reports_an_exception_as_a_counterexample(capsys, monkeypatch):
             raise ValueError("injected fault")
         return None
 
-    monkeypatch.setitem(cli._SUITE_CHECK, "osc-main", check)
+    monkeypatch.setitem(cli._SUITE_TABLE, "osc-main", (("oscillating",), check))
     code, out, _ = run(capsys, "verify", "osc-main", "--r", "2", "--n", "4")
     assert code == 1
     payload = json.loads(out)
@@ -270,6 +270,91 @@ def test_verify_reports_an_exception_as_a_counterexample(capsys, monkeypatch):
     assert payload["counterexamples"] == [
         {"family": "oscillating", "r": 2, "tableau": "00,10,11,10,00", "reason": "exception: ValueError: injected fault"}
     ]
+
+
+def _fails_at_length_two(t):
+    # module level, so a --jobs 2 worker can unpickle it
+    return "forced" if len(t) == 2 else None
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_counterexamples_of_several_scales_come_in_scale_order(capsys, monkeypatch, jobs):
+    """Each counterexample names the family and rank of its own tableau."""
+    from crystalchords import cli
+
+    monkeypatch.setitem(cli._SUITE_TABLE, "rotation", (cli.FAMILIES, _fails_at_length_two))
+    code, out, _ = run(capsys, "verify", "rotation", "--r", "2", "--n", "3", "--jobs", jobs)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["instances"] == 13
+    assert [(c["family"], c["r"], c["tableau"]) for c in payload["counterexamples"]] == [
+        ("oscillating", 1, "0,1,0"),
+        ("oscillating", 2, "00,10,00"),
+        ("fan", 1, "0,1,0"),
+        ("fan", 2, "00,11,00"),
+        ("vacillating", 1, "0,1,0"),
+        ("vacillating", 2, "00,10,00"),
+    ]
+    assert {c["reason"] for c in payload["counterexamples"]} == {"forced"}
+
+
+def test_a_verify_run_opens_at_most_one_pool(capsys, monkeypatch):
+    """All scales of a suite go through one pool, and its report is the one of --jobs 1."""
+    import multiprocessing
+
+    opened = []
+
+    class CountingPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    for suite in ("osc-main", "rotation"):
+        serial = run(capsys, "verify", suite, "--deep", "--jobs", "1")
+        assert run(capsys, "verify", suite, "--deep", "--jobs", "2") == serial
+        assert opened == [2]
+        opened.clear()
+
+
+def test_check_rotation_promotes_each_tableau_once(monkeypatch):
+    from crystalchords import cli
+    from crystalchords.crystals import enumerate_zero
+
+    promoted = []
+    promote = cli.promote
+    monkeypatch.setattr(cli, "promote", lambda t: promoted.append(t) or promote(t))
+    for family, r, n in [("oscillating", 2, 6), ("fan", 2, 6), ("vacillating", 2, 6)]:
+        items = enumerate_zero(family, r, n)
+        assert [cli._check_rotation(t) for t in items] == [None] * len(items)
+        assert promoted == items
+        promoted.clear()
+
+
+def test_count_only_builds_no_tableau(capsys, monkeypatch):
+    """--count-only prints the length of the listing on every --deep scale
+    without building a single tableau."""
+    from crystalchords import cli
+    from crystalchords.crystals import TableauSeq, enumerate_zero
+
+    args = cli.build_parser().parse_args(["verify", "rotation", "--deep"])
+    expected = [(f, r, n, len(enumerate_zero(f, r, n))) for f, r, n in cli._scales("rotation", args)]
+
+    def refuse(*args):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(TableauSeq, "_trusted", refuse)
+    for family, r, n, count in expected:
+        argv = ("enumerate", "--family", family, "--r", str(r), "--n", str(n), "--count-only")
+        assert run(capsys, *argv) == (0, f"{count}\n", "")
 
 
 def test_verify_jobs_two_prints_the_bytes_of_jobs_one(capsys):

@@ -165,12 +165,12 @@ def test_tableau_takes_int_ranks_and_parts_only(rank, steps, message):
 
 
 def test_remembered_steps_still_test_the_type_of_every_part():
-    """Validation remembers the partitions and steps that passed, but True and
-    1.0 hash and compare as 1, so the exact int test still runs on every call."""
-    from crystalchords.crystals import _step_table, _valid_partitions
+    """Validation remembers the steps that passed, but True and 1.0 hash and
+    compare as 1, so the exact int test still runs on every call."""
+    from crystalchords.crystals import _step_table
 
     TableauSeq(FAN, 2, ((), (1, 1), ()))
-    assert (1, 1) in _valid_partitions(2) and ((), (1, 1)) in _step_table(FAN, 2)
+    assert ((), (1, 1)) in _step_table(FAN, 2)
     for steps, message in [
         (((), (True, True), ()), "(True, True) is not a canonical partition"),
         (((), (1.0, 1), ()), "(1.0, 1) is not a canonical partition"),
@@ -182,20 +182,23 @@ def test_remembered_steps_still_test_the_type_of_every_part():
 
 
 def test_rejected_partitions_and_steps_raise_every_time_and_are_never_stored():
-    from crystalchords.crystals import _step_table, _valid_partitions
+    from crystalchords.crystals import _step_table
 
-    # (family, rank, steps, message, the table and the entry it must not hold)
+    # (family, rank, steps, message, the table and the entry it must not hold);
+    # a rejected partition leaves no step into it behind
     cases = [
-        (FAN, 2, ((), (1, 2), ()), "(1, 2) is not a canonical partition", _valid_partitions(2), (1, 2)),
+        (FAN, 2, ((), (1, 2), ()), "(1, 2) is not a canonical partition", _step_table(FAN, 2), ((), (1, 2))),
         (
             FAN,
             2,
             ((), (1, 1, 0), ()),
             "(1, 1, 0) is not a canonical partition",
-            _valid_partitions(2),
-            (1, 1, 0),
+            _step_table(FAN, 2),
+            ((), (1, 1, 0)),
         ),
-        (FAN, 1, ((), (1, 1), ()), "(1, 1) has more than 1 parts", _valid_partitions(1), (1, 1)),
+        (FAN, 1, ((), (1, 1), ()), "(1, 1) has more than 1 parts", _step_table(FAN, 1), ((), (1, 1))),
+        # every partition is checked before any step
+        (FAN, 1, ((), (2,), (1, 1)), "(1, 1) has more than 1 parts", _step_table(FAN, 1), ((), (2,))),
         (
             FAN,
             2,
