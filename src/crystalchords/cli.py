@@ -37,10 +37,10 @@ from .growth import (
 from .promotion import CHORD_MAPS, chord_matrix, promote, rotate_matrix
 from .serialize import (
     dump_json,
-    matrix_to_json,
     parse_tableau,
     render_chords,
     render_matrix,
+    render_partition,
     render_tableau,
     tableau_to_json,
 )
@@ -155,7 +155,7 @@ def cmd_chord(args) -> int:
     tag = args.map or FAMILY_MAPS[t.family][0]
     m = chord_matrix(tag, t)
     if args.format == "json":
-        print(dump_json({"map": tag, "matrix": matrix_to_json(m)}))
+        print(dump_json({"map": tag, "matrix": m}))
     else:
         print(render_matrix(m))
         print(render_chords(m))
@@ -171,31 +171,23 @@ def cmd_growth(args) -> int:
         print(dump_json({"round_trip": ok}) if args.format == "json" else f"round trip: {ok}")
         return 0 if ok else CHECK_FAILED
     if args.corners:
-        corners = growth_corners(t)
-        n = len(t)
+        rows = growth_corners(t)
         if args.format == "json":
-            rows = [
-                [list(corners[(i, j)]) for j in range(i + 1)] for i in range(n + 1)
-            ]
             print(dump_json({"corners": rows}))
         else:
-            for i in range(n + 1):
-                labels = []
-                for j in range(i + 1):
-                    p = pad(corners[(i, j)], t.rank)
-                    labels.append("".join(str(x) for x in p))
-                print(" ".join(labels))
+            for row in rows:
+                print(" ".join(render_partition(p, t.rank) for p in row))
         return 0
     if args.triangle:
         rows = lower_triangle_rows(m)
         if args.format == "json":
-            print(dump_json({"triangle": [list(r) for r in rows]}))
+            print(dump_json({"triangle": rows}))
         else:
             for row in rows:
                 print(" ".join(str(x) for x in row))
         return 0
     if args.format == "json":
-        print(dump_json({"matrix": matrix_to_json(m)}))
+        print(dump_json({"matrix": m}))
     else:
         print(render_matrix(m))
     return 0
@@ -413,12 +405,10 @@ def cmd_csp(args) -> int:
         if n % 2:
             raise UsageError("--poly g needs an even length")
         poly = g_poly(n // 2, r)
-    elif args.poly == "h":
+    else:  # "h", the last of the parser's choices
         if family != VACILLATING:
             raise UsageError("--poly h applies to vacillating tableaux")
         poly = major_poly(items)
-    else:
-        raise UsageError(f"unknown polynomial {args.poly!r}")
     order = n or 1
     try:
         payload = csp_check(items, order, poly).to_json()

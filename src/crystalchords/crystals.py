@@ -77,18 +77,11 @@ def letters(kind: str, r: int) -> tuple:
     raise ValueError(f"unknown crystal kind {kind!r}")
 
 
-def cvec_order(x: int, r: int) -> int:
-    """Position of a C-letter in the order 1 < ... < r < -r < ... < -1 of :func:`letters`."""
-    return x if x > 0 else 2 * r + 1 + x
-
-
-def bvec_order(x: int, r: int) -> int:
-    """Position of a B-letter in the order 1 < ... < r < 0 < -r < ... < -1 of :func:`letters`."""
-    if x > 0:
-        return x
-    if x == 0:
-        return r + 1
-    return 2 * r + 2 + x
+def _check_rank(r) -> None:
+    if type(r) is not int:  # True would share the tables of rank 1
+        raise ValueError(f"rank must be an int, not {type(r).__name__}")
+    if r < 1:
+        raise ValueError("rank must be positive")
 
 
 def is_letter(kind: str, r: int, x) -> bool:
@@ -125,10 +118,7 @@ class Word:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown crystal kind {self.kind!r}")
-        if type(self.rank) is not int:  # True would share the tables of rank 1
-            raise ValueError(f"rank must be an int, not {type(self.rank).__name__}")
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
+        _check_rank(self.rank)
         for x in self.letters:
             if not is_letter(self.kind, self.rank, x):
                 raise ValueError(f"{x!r} is not a {self.kind} letter of rank {self.rank}")
@@ -201,10 +191,7 @@ _INT = frozenset((int,))  # the exact type of every part: no bool, float or str
 def validate_tableau(t: TableauSeq) -> None:
     if t.family not in FAMILIES:
         raise ValueError(f"unknown family {t.family!r}")
-    if type(t.rank) is not int:
-        raise ValueError(f"rank must be an int, not {type(t.rank).__name__}")
-    if t.rank < 1:
-        raise ValueError("rank must be positive")
+    _check_rank(t.rank)
     steps = t.steps
     if not steps or steps[0] != ():
         raise ValueError("step sequence must start at the empty partition")
@@ -375,6 +362,12 @@ def _step_table(family: str, r: int) -> _Table:
 def _letter_of(kind: str, r: int) -> dict[WeightVec, object]:
     """Each letter of the crystal keyed by its weight (distinct); shared, so read only."""
     return {letter_weight(kind, r, x): x for x in letters(kind, r)}
+
+
+@cache
+def _position_of(kind: str, r: int) -> dict[object, int]:
+    """Each letter's position in the order of :func:`letters`; shared, so read only."""
+    return {x: i for i, x in enumerate(letters(kind, r))}
 
 
 @cache

@@ -128,11 +128,11 @@ H72 = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 2, 2, 1, 1)
 
 
 def _corner_rows_match(t: TableauSeq, expected: tuple) -> bool:
-    corners = growth_corners(t)
+    rows = growth_corners(t)
     n = len(t)
     for k, row in enumerate(expected):
         for l, label in enumerate(row):
-            if corners[(n - k + l, l)] != label:
+            if rows[n - k + l][l] != label:
                 return False
     return True
 

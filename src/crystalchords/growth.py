@@ -74,9 +74,7 @@ from .crystals import (
     _Table,
     step_letters,
 )
-from .weights import Partition, pad, partition
-
-Matrix = tuple[tuple[int, ...], ...]
+from .weights import Matrix, Partition, pad, partition
 
 
 class InvalidOutput(Exception):
@@ -415,18 +413,18 @@ def _backward_sweep(
     return rows, cells
 
 
-def growth_corners(t: TableauSeq) -> dict[tuple[int, int], Partition]:
-    """All corner labels of the triangular growth diagram of a weight-zero tableau.
+def growth_corners(t: TableauSeq) -> list[list[Partition]]:
+    """The corner labels of the triangular growth diagram of a weight-zero tableau, as rows.
 
-    The sweep whose pairs start at row 1 keeps the even rows, the one whose
-    pairs start at row 2 the odd rows; row 1 needs a step.
+    Row i lists the corners (i, 0), (i, 1), ..., (i, i), so ``rows[i][j]`` is
+    alpha[i][j]; each is a row of :func:`_backward_sweep` reversed.  The sweep
+    whose pairs start at row 1 keeps the even rows, the one whose pairs start
+    at row 2 the odd rows; row 1 needs a step.
     """
-    corners = {}
+    rows = [None] * len(t.steps)
     for start in (1, 2)[: len(t.steps)]:
-        rows, _ = _backward_sweep(t, start)
-        for i, row in zip(range(start - 1, len(t.steps), 2), rows):
-            corners.update(((i, i - k), p) for k, p in enumerate(row))
-    return corners
+        rows[start - 1 :: 2] = [row[::-1] for row in _backward_sweep(t, start)[0]]
+    return rows
 
 
 def growth_matrix(family: str, t: TableauSeq) -> Matrix:

@@ -42,9 +42,7 @@ from .crystals import (
     step_letters,
 )
 from .virtual import NotInImage, _halve, embedded_word, psi_vec
-from .weights import Partition, pad, trim
-
-Matrix = tuple[tuple[int, ...], ...]
+from .weights import Matrix, Partition, pad, trim
 
 # chord map tag -> the family it maps from; the first map of a family is its default
 CHORD_MAPS = {"M_O": OSCILLATING, "M_F": FAN, "M_VO": VACILLATING, "M_VF": VACILLATING}

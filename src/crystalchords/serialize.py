@@ -2,7 +2,8 @@
 
 Partitions serialize as integer arrays like ``[3, 2]``; the compact figure
 form ``"311"`` (single-digit parts, ``"000"`` for the empty partition) is
-accepted on input.  Tableaux accept the comma-separated compact form
+accepted on input, and :func:`render_partition` writes it, or ``[10,2]`` when
+a part exceeds 9.  Tableaux accept the comma-separated compact form
 ``"000,111,222"``.  Matrices are written as arrays of rows and rendered as
 text or as chord lists; no command reads one back.
 """
@@ -12,9 +13,7 @@ from __future__ import annotations
 import json
 
 from .crystals import TableauSeq
-from .weights import Partition, partition
-
-Matrix = tuple[tuple[int, ...], ...]
+from .weights import Matrix, Partition, partition
 
 
 def parse_partition(value) -> Partition:
@@ -56,10 +55,6 @@ def tableau_to_json(t: TableauSeq) -> dict:
     }
 
 
-def matrix_to_json(m: Matrix) -> list[list[int]]:
-    return [list(row) for row in m]
-
-
 def render_matrix(m: Matrix) -> str:
     if not m:
         return "(empty matrix)"
@@ -77,16 +72,16 @@ def render_chords(m: Matrix) -> str:
     return "\n".join(lines) if lines else "(no chords)"
 
 
+def render_partition(p: Partition, r: int) -> str:
+    """Compact form: r figures, or a bracketed list when a part exceeds 9."""
+    if p and p[0] > 9:
+        return "[" + ",".join(map(str, p)) + "]"
+    return "".join(map(str, p)) + "0" * (r - len(p))
+
+
 def render_tableau(t: TableauSeq) -> str:
-    """Compact one-line form; multi-digit parts fall back to bracketed lists."""
-    out = []
-    for p in t.steps:
-        padded = list(p) + [0] * (t.rank - len(p))
-        if all(x <= 9 for x in padded):
-            out.append("".join(str(x) for x in padded))
-        else:
-            out.append("[" + ",".join(str(x) for x in p) + "]")
-    return ",".join(out)
+    """Compact one-line form, one :func:`render_partition` per step."""
+    return ",".join(render_partition(p, t.rank) for p in t.steps)
 
 
 def dump_json(obj) -> str:

@@ -33,9 +33,8 @@ from .crystals import (
     SPIN,
     TableauSeq,
     Word,
+    _position_of,
     _Table,
-    bvec_order,
-    cvec_order,
     enumerate_zero,
     is_letter,
     tableau_to_word,
@@ -143,11 +142,13 @@ def local_energy(kind: str, r: int, a, b) -> int:
 def _pair_energy(kind: str, r: int, a, b) -> int:
     """:func:`local_energy` of two letters of the crystal, unchecked."""
     if kind == CVEC:
-        return 0 if cvec_order(a, r) <= cvec_order(b, r) else 1
+        position = _position_of(CVEC, r)
+        return 0 if position[a] <= position[b] else 1
     if kind == BVEC:
         if a == -1 and b == 1:
             return 2
-        if bvec_order(a, r) <= bvec_order(b, r) and not (a == 0 and b == 0):
+        position = _position_of(BVEC, r)
+        if position[a] <= position[b] and not (a == 0 and b == 0):
             return 0
         return 1
     k = excess = 0
@@ -233,11 +234,11 @@ def descent_major(w: Word) -> tuple[tuple[int, ...], int]:
 
 def _descents(w: Word) -> tuple[int, ...]:
     """Descent set of :func:`descent_major`, for a word known to be a highest weight bvec word."""
-    r = w.rank
+    position = _position_of(BVEC, w.rank)
     descents = []
     for i in range(1, len(w)):
         u_i, u_next = w.letters[i - 1], w.letters[i]
-        if bvec_order(u_next, r) <= bvec_order(u_i, r):
+        if position[u_next] <= position[u_i]:
             continue
         if u_i > 0 and u_next == -u_i:
             j = u_i

@@ -15,13 +15,14 @@ reads the same table backwards, one letter's image to one block of steps.
 from __future__ import annotations
 
 from .crystals import (
+    CVEC,
     FAMILY_KIND,
     FAN,
     OSCILLATING,
     VACILLATING,
     TableauSeq,
     Word,
-    cvec_order,
+    _position_of,
     letters,
     step_letters,
     word_to_tableau,
@@ -42,7 +43,7 @@ def psi_spin(eps: tuple, r: int) -> tuple:
     if len(eps) != r:
         raise ValueError(f"spin letter must have length {r}")
     out = [i if s == 1 else -i for i, s in enumerate(eps, start=1)]
-    return tuple(sorted(out, key=lambda x: cvec_order(x, r)))
+    return tuple(sorted(out, key=_position_of(CVEC, r).__getitem__))
 
 
 def psi_vec(b: int, r: int) -> tuple:

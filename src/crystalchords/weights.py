@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
 WeightVec = tuple[int, ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def partition(parts: Iterable[int]) -> Partition:

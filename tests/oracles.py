@@ -28,7 +28,6 @@ from crystalchords.crystals import (
 from crystalchords.growth import (
     _FAMILY_RULE,
     _RULES,
-    Matrix,
     _check_adjacent,
     _meet,
     _remove_box,
@@ -43,6 +42,7 @@ from crystalchords.virtual import (
     psi_vec,
 )
 from crystalchords.weights import (
+    Matrix,
     Partition,
     WeightVec,
     dominant_representative,

@@ -76,6 +76,52 @@ def test_growth_round_trip(capsys):
     assert code == 0 and "True" in out
 
 
+VAC9_MATRIX_JSON = (
+    "[[0,0,0,0,0,1,1,0,0],[0,0,0,0,2,0,0,0,0],[0,0,0,0,0,0,1,1,0],[0,0,0,0,0,0,0,1,1],"
+    "[0,2,0,0,0,0,0,0,0],[1,0,0,0,0,0,0,0,1],[1,0,1,0,0,0,0,0,0],[0,0,1,1,0,0,0,0,0],"
+    "[0,0,0,1,0,1,0,0,0]]"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("chord",), '{"map":"M_VO","matrix":' + VAC9_MATRIX_JSON + "}"),
+        (("chord", "--map", "M_VF"), '{"map":"M_VF","matrix":' + VAC9_MATRIX_JSON + "}"),
+        (("growth",), '{"matrix":' + VAC9_MATRIX_JSON + "}"),
+        (
+            ("growth", "--triangle"),
+            '{"triangle":[[0],[0,0],[0,0,0],[0,2,0,0],[1,0,0,0,0],[1,0,1,0,0,0],'
+            "[0,0,1,1,0,0,0],[0,0,0,1,0,1,0,0]]}",
+        ),
+        (
+            ("growth", "--corners"),
+            '{"corners":[[[]],[[],[2]],[[],[2],[4]],[[],[2],[4],[4,2]],'
+            "[[],[2],[4],[4,2],[4,2,2]],[[],[2],[2],[2,2],[2,2,2],[2,2,2]],"
+            "[[],[1],[1],[2,1],[2,2,1],[2,2,1],[2,2,2]],[[],[],[],[1],[2,1],[2,1],[2,2],[2,2]],"
+            "[[],[],[],[],[1],[1],[2],[2],[2]],[[],[],[],[],[],[],[],[],[],[]]]}",
+        ),
+    ],
+    ids=["chord-M_VO", "chord-M_VF", "growth", "growth-triangle", "growth-corners"],
+)
+def test_json_output_on_vac9_is_pinned(capsys, argv, expected):
+    command, *options = argv
+    code, out, err = run(
+        capsys, command, "--family", "vac", "--tableau", VAC9_COMPACT, "--format", "json", *options
+    )
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_ascii_corners_bracket_a_part_above_nine(capsys):
+    tableau = "00,10,20,30,40,50,51,41,31,21,11,10,00"
+    code, out, _ = run(capsys, "growth", "--family", "vac", "--tableau", tableau, "--corners")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 13
+    assert lines[5] == "00 20 40 60 80 [10]"
+    assert lines[6] == "00 20 40 60 80 [10] [10,2]"
+    assert lines[7] == "00 20 40 60 80 80 82 82"
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "fans-main", "--n", "4")
     assert code == 0

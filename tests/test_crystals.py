@@ -19,8 +19,7 @@ from crystalchords.crystals import (
     VACILLATING,
     TableauSeq,
     Word,
-    bvec_order,
-    cvec_order,
+    _position_of,
     enumerate_zero,
     is_highest,
     letter_weight,
@@ -392,10 +391,23 @@ def test_enumerate_zero_leaves_no_reference_cycle():
         gc.enable()
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_cvec_order_follows_letters(r):
-    assert [cvec_order(x, r) for x in letters(CVEC, r)] == list(range(1, 2 * r + 1))
-    assert [bvec_order(x, r) for x in letters(BVEC, r)] == list(range(1, 2 * r + 2))
+@pytest.mark.parametrize(
+    "r, cvec, bvec",
+    [
+        (1, {1: 0, -1: 1}, {1: 0, 0: 1, -1: 2}),
+        (2, {1: 0, 2: 1, -2: 2, -1: 3}, {1: 0, 2: 1, 0: 2, -2: 3, -1: 4}),
+        (
+            3,
+            {1: 0, 2: 1, 3: 2, -3: 3, -2: 4, -1: 5},
+            {1: 0, 2: 1, 3: 2, 0: 3, -3: 4, -2: 5, -1: 6},
+        ),
+    ],
+    ids=["1", "2", "3"],
+)
+def test_cvec_order_follows_letters(r, cvec, bvec):
+    """1 < ... < r < -r < ... < -1 for C-letters, with 0 between r and -r for B-letters."""
+    assert _position_of(CVEC, r) == cvec
+    assert _position_of(BVEC, r) == bvec
 
 
 def _prefixes(family, r, length):

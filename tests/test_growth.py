@@ -75,11 +75,16 @@ def test_growth_matrix_golden():
 
 
 def _assert_corner_rows(t, expected):
-    corners = growth_corners(t)
+    rows = growth_corners(t)
     n = len(t)
     for k, row in enumerate(expected):
         for l, label in enumerate(row):
-            assert corners[(n - k + l, l)] == label, (k, l)
+            assert rows[n - k + l][l] == label, (k, l)
+
+
+def _rows_of(corners, n):
+    """The cell-by-cell oracle's corner dict as growth_corners' rows."""
+    return [[corners[i, j] for j in range(i + 1)] for i in range(n + 1)]
 
 
 def test_growth_corner_labels_golden():
@@ -89,10 +94,11 @@ def test_growth_corner_labels_golden():
 
 def test_growth_borders_empty():
     for t in (FAN8, VAC9):
-        corners = growth_corners(t)
+        rows = growth_corners(t)
         n = len(t)
-        assert all(corners[(i, 0)] == () for i in range(n + 1))
-        assert all(corners[(n, j)] == () for j in range(n + 1))
+        assert [len(row) for row in rows] == list(range(1, n + 2))
+        assert all(row[0] == () for row in rows)
+        assert all(p == () for p in rows[n])
 
 
 def test_growth_inverse_round_trips():
@@ -303,14 +309,14 @@ def test_shrink_back_spot_checks():
                 fine = growth_corners(iota_f_to_o(f))
                 for i in range(n + 1):
                     for j in range(i + 1):
-                        assert fine[(r * i, r * j)] == coarse[(i, j)]
+                        assert fine[r * i][r * j] == coarse[i][j]
         for n in range(0, 6):
             for v in enumerate_zero(VACILLATING, 2, n):
                 coarse = growth_corners(v)
                 fine = growth_corners(iota_v_to_o(v))
                 for i in range(n + 1):
                     for j in range(i + 1):
-                        assert fine[(2 * i, 2 * j)] == coarse[(i, j)]
+                        assert fine[2 * i][2 * j] == coarse[i][j]
 
 
 # ----------------------------------------------------- rule inversion
@@ -542,7 +548,7 @@ def test_growth_corners_match_the_cell_by_cell_sweep(family, ranks, lengths):
         for n in lengths:
             for t in enumerate_zero(family, r, n):
                 corners, fill = growth_sweep_by_cells(t)
-                assert growth_corners(t) == corners, t
+                assert growth_corners(t) == _rows_of(corners, n), t
                 rows = [[0] * n for _ in range(n)]
                 for (i, j), m in fill.items():
                     rows[i - 1][j - 1] = rows[j - 1][i - 1] = m
@@ -736,7 +742,7 @@ def test_paired_walks_match_the_oracles_at_every_deep_scale(family):
     for r, n in sorted(scales):
         for t in enumerate_zero(family, r, n):
             corners, fill = growth_sweep_by_cells(t)
-            assert growth_corners(t) == corners, t
+            assert growth_corners(t) == _rows_of(corners, n), t
             rows = [[0] * n for _ in range(n)]
             for (i, j), m in fill.items():
                 rows[i - 1][j - 1] = rows[j - 1][i - 1] = m

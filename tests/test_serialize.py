@@ -6,6 +6,7 @@ from crystalchords.serialize import (
     parse_partition,
     parse_tableau,
     render_chords,
+    render_partition,
     render_tableau,
     tableau_to_json,
 )
@@ -27,6 +28,17 @@ def test_tableau_json_round_trip():
     assert parse_tableau(tableau_to_json(t)) == t
     assert parse_tableau("000,111,220,111,000", "fan", 3) == t
     assert render_tableau(t) == "000,111,220,111,000"
+
+
+def test_render_partition_brackets_multi_digit_parts():
+    assert render_partition((), 3) == "000"
+    assert render_partition((9, 9), 2) == "99"
+    assert render_partition((3, 1), 3) == "310"
+    assert render_partition((10,), 2) == "[10]"
+    assert render_partition((10, 2), 2) == "[10,2]"
+    assert render_partition((12, 11, 3), 4) == "[12,11,3]"
+    t = tableau("oscillating", 1, [(), *((k,) for k in range(1, 11)), *((k,) for k in range(9, -1, -1))])
+    assert render_tableau(t).split(",")[9:12] == ["9", "[10]", "9"]
 
 
 def test_matrix_and_chords():
