@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
-import random
 import sys
 
 from . import __version__
@@ -46,7 +46,7 @@ from .serialize import (
 )
 from .sieving import csp_check, energy_poly, g_poly, major_poly, poly_str
 from .virtual import iota_f_to_o, iota_v_to_o
-from .weights import is_partition, pad, trim
+from .weights import Partition, is_partition, pad, trim
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -273,15 +273,66 @@ def _exception_reason(exc: Exception) -> str:
     return f"exception: {type(exc).__name__}: {exc}"
 
 
-def _guarded(check, t: TableauSeq) -> str | None:
+def _check_cell(cell: tuple[str, Partition, Partition, Partition, int]) -> str | None:
+    rule, gamma, delta, alpha, m = cell
+    if cell_backward(rule, cell_forward(rule, gamma, delta, alpha, m), delta, alpha) == (gamma, m):
+        return None
+    return "backward(forward(cell)) != (gamma, m)"
+
+
+def _strips(gamma: Partition, k: int, rule: str) -> list[Partition]:
+    """Every delta of a rule's cells over gamma: at most k + 1 rows, the first at most 3 longer."""
+    g = pad(gamma, k + 1)
+    if rule == "rsk":  # a horizontal strip: row i ends by gamma's row i - 1
+        ranges = [range(x, (g[i - 1] if i else x + 3) + 1) for i, x in enumerate(g)]
+    else:  # a vertical strip, of at most one box for zero_one
+        ranges = [(x, x + 1) for x in g]
+    return [
+        trim(q)
+        for q in itertools.product(*ranges)
+        if is_partition(q) and (rule != "zero_one" or sum(q) <= sum(g) + 1)
+    ]
+
+
+def rule_inversion_cells(k: int):
+    """Every growth cell (rule, gamma, delta, alpha, m) with gamma in the k x k box.
+
+    Rules come in the order zero_one, burge, rsk, then gamma (the empty
+    partition first), delta, alpha and m.  delta and alpha are the strips of
+    :func:`_strips`; m runs over 0..3, or for zero_one is 0, or 1 when
+    delta = gamma = alpha.
+    """
+    box = [trim(c[::-1]) for c in itertools.combinations_with_replacement(range(k + 1), k)]
+    for rule in ("zero_one", "burge", "rsk"):
+        for gamma in box:
+            strips = _strips(gamma, k, rule)
+            for delta, alpha in itertools.product(strips, strips):
+                if rule != "zero_one":
+                    fillings = range(4)
+                else:
+                    fillings = (0, 1) if delta == gamma == alpha else (0,)
+                for m in fillings:
+                    yield rule, gamma, delta, alpha, m
+
+
+def _guarded(check, item) -> str | None:
     """Run a check; an exception it raises is a counterexample, not a usage error."""
     try:
-        return check(t)
+        return check(item)
     except Exception as exc:  # any failure inside a check is reported with its instance
         return _exception_reason(exc)
 
 
-# each per-tableau suite: the families it checks, in report order, and its check
+def _describe(item) -> dict:
+    """The instance of a counterexample: a tableau or a growth cell."""
+    if isinstance(item, TableauSeq):
+        return {"family": item.family, "r": item.rank, "tableau": render_tableau(item)}
+    rule, gamma, delta, alpha, m = item
+    return {"rule": rule, "gamma": gamma, "delta": delta, "alpha": alpha, "m": m}
+
+
+# each suite: the families it checks, in report order, and its check; rule-inversion
+# checks the growth cells of rule_inversion_cells, not tableaux
 _SUITE_TABLE = {
     "osc-main": ((OSCILLATING,), _check_main),
     "fans-main": ((FAN,), _check_main),
@@ -289,106 +340,32 @@ _SUITE_TABLE = {
     "rotation": (FAMILIES, _check_rotation),
     "order": (FAMILIES, _check_order),
     "blowup-lemmas": (FAMILIES, _check_blowup),
+    "rule-inversion": ((), _check_cell),
 }
-# rule-inversion samples growth cells, not tableaux, so it has no per-tableau check
-SUITES = (*_SUITE_TABLE, "rule-inversion")
-
-
-def rule_inversion_cells(cases: int, seed: int):
-    """The first ``cases`` random growth cells (rule, gamma, delta, alpha, m):
-    zero_one, burge, rsk in turn."""
-    from itertools import islice
-
-    rng = random.Random(seed)
-
-    def rand_partition(maxlen=4, maxpart=4):
-        parts = sorted((rng.randint(0, maxpart) for _ in range(rng.randint(0, maxlen))), reverse=True)
-        return trim(tuple(parts))
-
-    def grow(p, vertical: bool):
-        q = list(pad(p, len(p) + 1))
-        if vertical:
-            for i in range(len(q)):
-                if rng.random() < 0.5:
-                    cand = q[:]
-                    cand[i] += 1
-                    if is_partition(cand):
-                        q = cand
-        else:
-            row_cap = q[0] + rng.randint(0, 3)
-            out = []
-            for i in range(len(q)):
-                hi = min(row_cap, q[i - 1] if i else q[i] + 3)
-                out.append(rng.randint(q[i], max(q[i], hi)))
-                row_cap = q[i]
-            q = out
-        return trim(tuple(q))
-
-    def one_box(p):
-        opts = [p]
-        q = list(pad(p, len(p) + 1))
-        for i in range(len(q)):
-            cand = q[:]
-            cand[i] += 1
-            if is_partition(cand):
-                opts.append(trim(tuple(cand)))
-        return opts[rng.randrange(len(opts))]
-
-    def cells():
-        while True:
-            g = rand_partition()
-            d, a = one_box(g), one_box(g)
-            yield "zero_one", g, d, a, rng.randint(0, 1) if d == g == a else 0
-            d, a = grow(g, True), grow(g, True)
-            yield "burge", g, d, a, rng.randint(0, 3)
-            d, a = grow(g, False), grow(g, False)
-            yield "rsk", g, d, a, rng.randint(0, 3)
-
-    return islice(cells(), cases)
-
-
-def _rule_inversion_failures(cases: int, seed: int = 20260811) -> list[dict]:
-    failures = []
-    for rule, g, d, a, m in rule_inversion_cells(cases, seed):
-        try:
-            b = cell_forward(rule, g, d, a, m)
-            if cell_backward(rule, b, d, a) == (g, m):
-                continue
-            extra = {}
-        except Exception as exc:  # a rule that raises on a generated cell is a counterexample
-            extra = {"reason": _exception_reason(exc)}
-        failures.append({"rule": rule, "gamma": list(g), "delta": list(d), "alpha": list(a), "m": m, **extra})
-    return failures
+SUITES = tuple(_SUITE_TABLE)
 
 
 def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    bounds = (("--r", args.r, 1), ("--n", args.n, 0), ("--cases", args.cases, 1), ("--jobs", args.jobs, 1))
+    bounds = (("--r", args.r, 1), ("--n", args.n, 0), ("--jobs", args.jobs, 1))
     for flag, value, least in bounds:
         if value is not None and value < least:
             raise UsageError(f"{flag} must be at least {least}")
-    if suite == "rule-inversion":
-        return _report(suite, "cases", args.cases, _rule_inversion_failures(args.cases))
-    scales = _scales(suite, args)
-    if not scales:
-        raise UsageError(f"suite {suite!r} checks no {_family(args.family)} tableaux")
-    # every scale in one list, so a run opens at most one pool
-    items = [t for family, r, n in scales for t in enumerate_zero(family, r, n)]
+    families, check = _SUITE_TABLE[suite]
+    if families:
+        scales = _scales(suite, args)
+        if not scales:
+            raise UsageError(f"suite {suite!r} checks no {_family(args.family)} tableaux")
+        # every scale in one list, so a run opens at most one pool
+        items = [t for family, r, n in scales for t in enumerate_zero(family, r, n)]
+    else:
+        items = list(rule_inversion_cells(4 if args.deep else 3))
     # a partial of module-level functions, so --jobs N can pickle it
-    check = functools.partial(_guarded, _SUITE_TABLE[suite][1])
-    failures = [
-        {"family": t.family, "r": t.rank, "tableau": render_tableau(t), "reason": res}
-        for t, res in zip(items, _pool_map(check, items, args.jobs))
-        if res is not None
-    ]
-    return _report(suite, "instances", len(items), failures)
-
-
-def _report(suite: str, size_name: str, size: int, failures: list[dict]) -> int:
-    """Print a suite's report, which names its size (cases or instances), and return the exit code."""
-    report = {"suite": suite, size_name: size, "ok": not failures, "counterexamples": failures[:10]}
+    results = _pool_map(functools.partial(_guarded, check), items, args.jobs)
+    failures = [{**_describe(x), "reason": res} for x, res in zip(items, results) if res is not None]
+    report = {"suite": suite, "instances": len(items), "ok": not failures, "counterexamples": failures[:10]}
     print(dump_json(report))
     return 0 if not failures else CHECK_FAILED
 
@@ -488,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--cases", type=int, default=10000, help="rule-inversion sample size")
     p.add_argument("--deep", action="store_true", help="extend to the stretch ranges")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
 

@@ -1,19 +1,24 @@
 """JSON and compact-text forms for partitions, tableaux and matrices.
 
-Partitions serialize as integer arrays like ``[3, 2]``; the compact figure
-form ``"311"`` (single-digit parts, ``"000"`` for the empty partition) is
-accepted on input, and :func:`render_partition` writes it, or ``[10,2]`` when
-a part exceeds 9.  Tableaux accept the comma-separated compact form
-``"000,111,222"``.  Matrices are written as arrays of rows and rendered as
+Partitions serialize as integer arrays like ``[3, 2]``.  Their compact form
+is r figures, ``"311"`` (``"000"`` for the empty partition), or a bracketed
+list such as ``[10,2]`` once a part exceeds 9; :func:`render_partition` writes
+it and :func:`parse_partition` reads it back.  Tableaux use the compact form
+of each step, joined by the commas outside brackets: ``"000,111,222"`` or
+``"0,9,[10],9"``.  Matrices are written as arrays of rows and rendered as
 text or as chord lists; no command reads one back.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .crystals import TableauSeq
 from .weights import Matrix, Partition, partition
+
+# a comma that separates two steps: no "]" closes a bracket after it
+_COMPACT_STEP = re.compile(r",(?![^\[]*\])")
 
 
 def parse_partition(value) -> Partition:
@@ -21,9 +26,11 @@ def parse_partition(value) -> Partition:
         text = value.strip()
         if text in ("", "-"):
             return ()
-        if not text.isdigit():
+        # figures, or the parts of a bracketed list
+        parts = text[1:-1].split(",") if text[0] == "[" and text[-1] == "]" else text
+        if not all(x.isdigit() for x in parts):
             raise ValueError(f"compact partition {value!r} must be digits")
-        return partition(int(ch) for ch in text)
+        return partition(int(x) for x in parts)
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"cannot parse a partition from {value!r}")
     return partition(value)
@@ -34,7 +41,7 @@ def parse_tableau(value, family: str | None = None, rank: int | None = None) -> 
     if isinstance(value, str):
         if family is None or rank is None:
             raise ValueError("compact tableau form needs an explicit family and rank")
-        steps = [parse_partition(tok) for tok in value.split(",")]
+        steps = [parse_partition(tok) for tok in _COMPACT_STEP.split(value)]
         return TableauSeq(family, rank, tuple(steps))
     if isinstance(value, dict):
         fam = value.get("family", family)

@@ -118,12 +118,12 @@ def test_criterion_4_structural_properties():
 
 
 def test_criterion_5_rule_inversion():
-    cases = 0
-    for rule, g, d, a, m in rule_inversion_cells(10002, 424242):
+    cells = 0
+    for rule, g, d, a, m in rule_inversion_cells(4):
         assert cell_backward(rule, cell_forward(rule, g, d, a, m), d, a) == (g, m), (rule, g, d, a, m)
-        cases += 1
-    assert cases == 10002
-    _report(f"criterion-5 rule inversion on {cases} generated cells")
+        cells += 1
+    assert cells == 363198
+    _report(f"criterion-5 rule inversion on all {cells} cells over the 4 x 4 box")
 
 
 def test_criterion_6_polynomial_fixtures():

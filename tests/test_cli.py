@@ -53,6 +53,16 @@ def test_promote_orbit(capsys):
     assert lines[0] == lines[8] == FAN8_COMPACT
 
 
+def test_promote_reads_the_line_enumerate_prints_for_a_part_above_nine(capsys):
+    code, out, _ = run(capsys, "enumerate", "--family", "osc", "--r", "1", "--n", "20")
+    (line,) = [x for x in out.splitlines() if "[" in x]
+    assert line == "0,1,2,3,4,5,6,7,8,9,[10],9,8,7,6,5,4,3,2,1,0"
+    promoted = "0,1,2,3,4,5,6,7,8,9,8,7,6,5,4,3,2,1,0,1,0\n"
+    assert run(capsys, "promote", "--family", "osc", "--r", "1", "--tableau", line) == (0, promoted, "")
+    argv = ("promote", "--family", "osc", "--r", "1", "--tableau", line, "--steps", "20")
+    assert run(capsys, *argv) == (0, line + "\n", "")
+
+
 def test_chord_json(capsys):
     code, out, _ = run(
         capsys, "chord", "--family", "vac", "--tableau", VAC9_COMPACT, "--format", "json"
@@ -130,9 +140,26 @@ def test_verify_suite(capsys):
 
 
 def test_verify_rule_inversion(capsys):
-    code, out, _ = run(capsys, "verify", "rule-inversion", "--cases", "600")
-    assert code == 0
-    assert json.loads(out)["ok"] is True
+    expected = '{"counterexamples":[],"instances":35714,"ok":true,"suite":"rule-inversion"}\n'
+    assert run(capsys, "verify", "rule-inversion", "--jobs", "1") == (0, expected, "")
+    assert run(capsys, "verify", "rule-inversion", "--jobs", "2") == (0, expected, "")
+
+
+def test_verify_rule_inversion_has_no_cases_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "rule-inversion", "--cases", "600"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cases 600" in capsys.readouterr().err
+
+
+def test_rule_inversion_cells_lists_each_cell_once():
+    from crystalchords.cli import rule_inversion_cells
+
+    for k, counts in ((3, [274, 8816, 26624]), (4, [1230, 90672, 271296])):
+        cells = list(rule_inversion_cells(k))
+        rules = [cell[0] for cell in cells]
+        assert rules == ["zero_one"] * counts[0] + ["burge"] * counts[1] + ["rsk"] * counts[2]
+        assert len(set(cells)) == len(cells)
 
 
 def test_verify_unknown_suite(capsys):
@@ -148,22 +175,14 @@ def test_verify_unknown_suite(capsys):
         (("osc-main", "--n", "-2"), "--n must be at least 0"),
         (("osc-main", "--family", "fan"), "suite 'osc-main' checks no fan tableaux"),
         (("vac-main", "--family", "osc"), "suite 'vac-main' checks no oscillating tableaux"),
-        (("rule-inversion", "--cases", "0"), "--cases must be at least 1"),
-        (("rule-inversion", "--cases", "-5"), "--cases must be at least 1"),
+        (("rule-inversion", "--jobs", "0"), "--jobs must be at least 1"),
+        (("rule-inversion", "--deep", "--jobs", "-5"), "--jobs must be at least 1"),
         (("osc-main", "--jobs", "0"), "--jobs must be at least 1"),
     ],
 )
 def test_verify_rejects_options_that_check_nothing(capsys, argv, message):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_rule_inversion_checks_exactly_the_cases_asked_for():
-    from crystalchords.cli import rule_inversion_cells
-
-    assert [len(list(rule_inversion_cells(k, 1))) for k in (1, 2, 3)] == [1, 2, 3]
-    rules = [cell[0] for cell in rule_inversion_cells(10, 1)]
-    assert rules == ["zero_one", "burge", "rsk"] * 3 + ["zero_one"]
 
 
 def test_promote_input_rejects_a_fractional_rank_and_parts(tmp_path, capsys):
@@ -423,11 +442,21 @@ def test_verify_rule_inversion_reports_an_exception_as_a_counterexample(capsys, 
         return original(*args)
 
     monkeypatch.setattr(cli, "cell_backward", cell_backward)
-    code, out, _ = run(capsys, "verify", "rule-inversion", "--cases", "30")
+    code, out, _ = run(capsys, "verify", "rule-inversion")
     assert code == 1
-    (failure,) = json.loads(out)["counterexamples"]
-    assert failure["reason"] == "exception: ValueError: injected fault"
-    assert failure["rule"] == "burge"
+    report = json.loads(out)
+    assert report["instances"] == len(calls) == 35714
+    # the fifth cell of the listing
+    assert report["counterexamples"] == [
+        {
+            "rule": "zero_one",
+            "gamma": [],
+            "delta": [1],
+            "alpha": [1],
+            "m": 0,
+            "reason": "exception: ValueError: injected fault",
+        }
+    ]
 
 
 @pytest.mark.parametrize("conjecture, code", [((), 1), (("--conjecture",), 0)])

@@ -322,104 +322,25 @@ def test_shrink_back_spot_checks():
 # ----------------------------------------------------- rule inversion
 
 
-def rand_partition(rng, maxlen=4, maxpart=4):
-    parts = sorted((rng.randint(0, maxpart) for _ in range(rng.randint(0, maxlen))), reverse=True)
-    return trim(tuple(parts))
-
-
-def grow_vertical(rng, p):
-    q = list(pad(p, len(p) + 1))
-    for i in range(len(q)):
-        if rng.random() < 0.5:
-            cand = q[:]
-            cand[i] += 1
-            if is_partition(cand):
-                q = cand
-    return trim(tuple(q))
-
-
-def grow_horizontal(rng, p):
-    q = list(pad(p, len(p) + 1))
-    out = []
-    cap = q[0] + rng.randint(0, 3)
-    for i in range(len(q)):
-        hi = min(cap, q[i - 1] if i else q[i] + 3)
-        out.append(rng.randint(q[i], max(q[i], hi)))
-        cap = q[i]
-    return trim(tuple(out))
-
-
-def grow_one_box(rng, p):
-    opts = [p]
-    q = list(pad(p, len(p) + 1))
-    for i in range(len(q)):
-        cand = q[:]
-        cand[i] += 1
-        if is_partition(cand):
-            opts.append(trim(tuple(cand)))
-    return opts[rng.randrange(len(opts))]
-
-
-def shrink_vertical(rng, p):
-    q = list(p)
-    for i in range(len(q)):
-        if rng.random() < 0.5:
-            cand = q[:]
-            cand[i] -= 1
-            if cand[i] >= 0 and is_partition(cand):
-                q = cand
-    return trim(tuple(q))
-
-
-def shrink_horizontal(rng, p):
-    q = list(p)
-    out = []
-    for i in range(len(q)):
-        lo = q[i + 1] if i + 1 < len(q) else 0
-        out.append(rng.randint(lo, q[i]))
-    # keep a horizontal strip: the removed cells must sit in distinct columns
-    for i in range(1, len(out)):
-        out[i] = max(out[i], min(q[i], out[i - 1]))
-    return trim(tuple(out))
-
-
-def test_rule_inversion_bulk():
-    rng = random.Random(987654321)
-    cases = 0
-    for _ in range(3500):
-        g = rand_partition(rng)
-        d, a = grow_one_box(rng, g), grow_one_box(rng, g)
-        m = rng.randint(0, 1) if d == g == a else 0
-        b = cell_forward("zero_one", g, d, a, m)
-        assert cell_backward("zero_one", b, d, a) == (g, m)
-
-        d, a = grow_vertical(rng, g), grow_vertical(rng, g)
-        m = rng.randint(0, 3)
-        b = cell_forward("burge", g, d, a, m)
-        assert cell_backward("burge", b, d, a) == (g, m)
-
-        d, a = grow_horizontal(rng, g), grow_horizontal(rng, g)
-        m = rng.randint(0, 3)
-        b = cell_forward("rsk", g, d, a, m)
-        assert cell_backward("rsk", b, d, a) == (g, m)
-        cases += 3
-    assert cases >= 10000
-
-
 def test_rule_inversion_backward_first():
-    rng = random.Random(123456789)
+    """Every beta in the 4 x 5 box, under strips: backward, then forward, returns beta."""
+
+    def strips_under(beta, rule):
+        if rule == "rsk":  # horizontal: row i keeps at least beta's row i + 1
+            ranges = [range(y, x + 1) for x, y in zip(beta, (*beta[1:], 0))]
+        else:  # vertical: each row loses at most one box
+            ranges = [(x - 1, x) for x in beta]
+        return [trim(q) for q in itertools.product(*ranges) if is_partition(q)]
+
     done = 0
-    for _ in range(4000):
-        b = rand_partition(rng, 4, 5)
-        for rule, shrink in (("burge", shrink_vertical), ("rsk", shrink_horizontal)):
-            d, a = shrink(rng, b), shrink(rng, b)
-            try:
-                g, m = cell_backward(rule, b, d, a)
-            except ValueError:
-                continue
-            assert cell_forward(rule, g, d, a, m) == b
-            done += 1
-    assert done >= 5000
+    for beta in box_partitions(4, 5):
+        for rule in ("burge", "rsk"):
+            strips = strips_under(beta, rule)
+            for delta, alpha in itertools.product(strips, strips):
+                gamma, m = cell_backward(rule, beta, delta, alpha)
+                assert cell_forward(rule, gamma, delta, alpha, m) == beta
+                done += 1
+    assert done == 26056
 
 
 def test_check_adjacent_matches_step_classify():

@@ -1,6 +1,6 @@
 import pytest
 
-from crystalchords.crystals import tableau
+from crystalchords.crystals import enumerate_zero, tableau
 from crystalchords.serialize import (
     dump_json,
     parse_partition,
@@ -39,6 +39,22 @@ def test_render_partition_brackets_multi_digit_parts():
     assert render_partition((12, 11, 3), 4) == "[12,11,3]"
     t = tableau("oscillating", 1, [(), *((k,) for k in range(1, 11)), *((k,) for k in range(9, -1, -1))])
     assert render_tableau(t).split(",")[9:12] == ["9", "[10]", "9"]
+
+
+def test_compact_form_round_trips_a_part_above_nine():
+    assert parse_partition("[10]") == (10,)
+    assert parse_partition("[10,2]") == (10, 2)
+    for bad in ("[10,", "[]", "[10,-2]", "[a]"):
+        with pytest.raises(ValueError):
+            parse_partition(bad)
+    wide = [t for t in enumerate_zero("oscillating", 1, 20) if max(map(max, filter(None, t.steps))) >= 10]
+    up = [(), *((k,) for k in range(1, 11)), (10, 1), (10, 2)]
+    by_hand = tableau("oscillating", 2, up + up[-2::-1])
+    assert len(wide) == 1 and (10, 2) in by_hand.steps
+    for t in (*wide, by_hand):
+        text = render_tableau(t)
+        assert "[10]" in text
+        assert parse_tableau(text, t.family, t.rank) == t
 
 
 def test_matrix_and_chords():
