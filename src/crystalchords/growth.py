@@ -74,7 +74,7 @@ from .crystals import (
     _Table,
     step_letters,
 )
-from .weights import Matrix, Partition, pad, partition
+from .weights import Matrix, Partition, halve, pad, partition
 
 
 class InvalidOutput(Exception):
@@ -485,14 +485,8 @@ def _forward_sweep(rule: str, triangle: list[list[int]]) -> list[Partition]:
     return hypotenuse
 
 
-def _halve_label(mu: Partition) -> Partition:
-    if any(x & 1 for x in mu):
-        raise ValueError(f"hypotenuse label {mu} is not doubled")
-    return tuple([x >> 1 for x in mu])
-
-
 # a doubled vacillating hypotenuse label -> its half; an odd part raises and stores nothing
-_HALVES = _Table(_halve_label)
+_HALVES = _Table(halve)
 
 
 def growth_inverse(rule: str, triangle: list[list[int]], family: str) -> TableauSeq:

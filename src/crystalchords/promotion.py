@@ -25,8 +25,6 @@ from functools import cache
 from operator import add, sub
 
 from .crystals import (
-    BVEC,
-    CVEC,
     FAMILY_KIND,
     FAN,
     OSCILLATING,
@@ -41,7 +39,7 @@ from .crystals import (
     letter_weight,
     step_letters,
 )
-from .virtual import NotInImage, _halve, embedded_word, psi_vec
+from .virtual import embedded_word, read_block
 from .weights import Matrix, Partition, pad, trim
 
 # chord map tag -> the family it maps from; the first map of a family is its default
@@ -97,24 +95,9 @@ class _LocalRule:
         return self.letter_of[tuple(-x for x in kappa)]
 
     def _vacillating_step(self, key: tuple[_State, _State, _State]) -> Partition:
-        """Half of f, for states (e, o, f) at positions 2k, 2k+1, 2k+2 of pr_O^2 of an embedding.
-
-        The halves of e and f must form a vacillating step whose embedding has
-        o at the odd position; that is what shows that pr_O^2 keeps the image.
-        """
-        e, o, f = key
-        r = self.rank
-        kappa = pad(e.label, r)
-        halves = [_halve(kappa), _halve(pad(f.label, r))]
-        try:
-            check_step(VACILLATING, *halves)
-        except ValueError as exc:
-            raise NotInImage(str(exc)) from exc
-        # a checked step is the weight of a B-letter, whose first C-letter leads from e to o
-        x = psi_vec(_letter_of(BVEC, r)[tuple(map(sub, halves[1], halves[0]))], r)[0]
-        if tuple(map(add, kappa, letter_weight(CVEC, r, x))) != pad(o.label, r):
-            raise NotInImage("odd steps do not match the embedding")
-        return trim(halves[1])
+        """Half of f, for states (e, o, f) at positions 2k, 2k+1, 2k+2 of pr_O^2 of an embedding,
+        once the block reads back as a vacillating step, so pr_O^2 kept the image."""
+        return read_block((VACILLATING, OSCILLATING), self.rank, [s.label for s in key])
 
 
 @cache
@@ -165,8 +148,9 @@ def promote(t: TableauSeq) -> TableauSeq:
 
     A vacillating tableau is promoted as pr_O^2 of its oscillating embedding,
     whose word gives each vacillating letter two C-letters
-    (:func:`virtual.embedded_word`).  The states at the even positions of the
-    result are halved, and each odd one must be the embedding of its halves.
+    (:func:`virtual.embedded_word`).  Each block of three states of the
+    result, from one even position to the next, reads back as one
+    vacillating step (:func:`virtual.read_block`).
     """
     if t.weight != ():
         raise ValueError("promotion requires weight zero")

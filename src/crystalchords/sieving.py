@@ -21,7 +21,7 @@ call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from operator import attrgetter, mul
 from typing import Callable, Iterable, Sequence
@@ -382,14 +382,8 @@ class CspReport:
     first_mismatch_d: int | None
 
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "order": self.order,
-            "orbit_sizes": list(self.orbit_sizes),
-            "residue": list(self.residue),
-            "expected_residue": list(self.expected_residue),
-            "first_mismatch_d": self.first_mismatch_d,
-        }
+        # dump_json writes the tuples as arrays
+        return asdict(self)
 
 
 def orbit_polynomial(sizes: Sequence[int], order: int) -> Poly:

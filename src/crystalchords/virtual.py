@@ -8,8 +8,10 @@ Each embedding is one letter map, in the table ``_LETTER_MAPS``:
 * :func:`phi_vec`, vacillating -> fan: a B-vector letter to two spin letters.
 
 :func:`embedded_word` concatenates the images of a tableau's letters; each
-tableau embedding is the tableau of that word, and :func:`iota_inverse`
-reads the same table backwards, one letter's image to one block of steps.
+tableau embedding is the tableau of that word.  :func:`read_block` reads
+the same table backwards, one block of :func:`block_size` target steps to
+one source step; :func:`iota_inverse` and vacillating promotion read every
+block through it.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from .crystals import (
     TableauSeq,
     Word,
     _position_of,
+    _step_table,
     letters,
     step_letters,
     word_to_tableau,
 )
-from .weights import WeightVec, trim
+from .weights import Partition, halve
 
 
 class NotInImage(Exception):
@@ -117,41 +120,52 @@ def iota_v_to_f(v: TableauSeq) -> TableauSeq:
     return _embed(v, VACILLATING, FAN)
 
 
-def _halve(mu: WeightVec) -> WeightVec:
-    """mu / 2 for a partition with even parts, or NotInImage."""
-    if any(x % 2 for x in mu):
-        raise NotInImage(f"{trim(mu)} has an odd part where a doubled partition is required")
-    return tuple(x // 2 for x in mu)
+def block_size(family_pair: tuple[str, str], r: int) -> int:
+    """k, the length of one letter's image: r for :func:`psi_spin`, 2 for the vector maps."""
+    image = _LETTER_MAPS.get(family_pair)
+    if image is None:
+        raise ValueError(f"no embedding for {family_pair!r}")
+    return len(image(letters(FAMILY_KIND[family_pair[0]], r)[0], r))
+
+
+def read_block(family_pair: tuple[str, str], r: int, block) -> Partition:
+    """The end of the source step whose image is the block of k + 1 target steps, or NotInImage.
+
+    The block's ends, halved for a vacillating source, must be a step of the
+    source's step table, and the block's letters that step's letter's image.
+    """
+    source, target = family_pair
+    a, b = block[0], block[-1]
+    try:
+        if source == VACILLATING:
+            a, b = halve(a), halve(b)
+        x = _step_table(source, r)[a, b]
+        if step_letters(target, r, block) == _LETTER_MAPS[family_pair](x, r):
+            return b
+    except ValueError as exc:
+        raise NotInImage(str(exc)) from exc
+    if source == VACILLATING:
+        raise NotInImage("odd steps do not match the embedding")
+    raise NotInImage("intermediate steps do not follow the letter refinement")
 
 
 def iota_inverse(family_pair: tuple[str, str], t: TableauSeq) -> TableauSeq:
     """The source tableau whose embedding named by ``family_pair`` is t, or NotInImage.
 
-    Its corners are every k-th step of t, k the length of one letter's image
-    (r for :func:`psi_spin`, 2 for :func:`psi_vec` and :func:`phi_vec`),
-    halved for a vacillating source.
+    Each block of k + 1 steps of t, k = :func:`block_size`, is read back as
+    one source step by :func:`read_block`; the first block that is not an
+    image names the failure.
     """
-    image = _LETTER_MAPS.get(family_pair)
-    if image is None:
-        raise ValueError(f"no embedding for {family_pair!r}")
+    k = block_size(family_pair, t.rank)
     source, target = family_pair
     if t.family != target:
         raise ValueError(f"expected a {target} tableau")
-    r = t.rank
-    k = len(image(letters(FAMILY_KIND[source], r)[0], r))
     if len(t) % k:
         raise NotInImage(f"length {len(t)} is not a multiple of {k}")
-    corners = t.steps[::k]
-    if source == VACILLATING:
-        corners = tuple(map(_halve, corners))
-    try:
-        s = TableauSeq(source, r, corners)
-    except ValueError as exc:
-        raise NotInImage(str(exc)) from exc
-    if source == VACILLATING and s.weight != ():
+    r, steps = t.rank, t.steps
+    corners = [()]
+    corners += [read_block(family_pair, r, steps[i : i + k + 1]) for i in range(0, len(t), k)]
+    if source == VACILLATING and corners[-1] != ():
         raise NotInImage("weight is not zero")
-    if _embed(s, source, target) != t:
-        if source == VACILLATING:
-            raise NotInImage("odd steps do not match the embedding")
-        raise NotInImage("intermediate steps do not follow the letter refinement")
-    return s
+    # read_block passed every step through the source's step table
+    return TableauSeq._trusted(source, r, tuple(corners))

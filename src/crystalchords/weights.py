@@ -50,6 +50,13 @@ def pad(parts: Sequence[int], length: int) -> WeightVec:
     return tuple(parts) + (0,) * (length - len(parts))
 
 
+def halve(mu: Partition) -> Partition:
+    """mu / 2 for a partition with even parts; an odd part raises ValueError."""
+    if any(x & 1 for x in mu):
+        raise ValueError(f"{mu} has an odd part where a doubled partition is required")
+    return tuple([x >> 1 for x in mu])
+
+
 def dominant_representative(w: Sequence[int]) -> Partition:
     """Sort the absolute values of the entries weakly decreasing.
 

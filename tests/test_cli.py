@@ -178,6 +178,10 @@ def test_verify_unknown_suite(capsys):
         (("rule-inversion", "--jobs", "0"), "--jobs must be at least 1"),
         (("rule-inversion", "--deep", "--jobs", "-5"), "--jobs must be at least 1"),
         (("osc-main", "--jobs", "0"), "--jobs must be at least 1"),
+        (("rule-inversion", "--family", "bogus", "--r", "9", "--n", "3"), "suite 'rule-inversion' takes no --family"),
+        (("rule-inversion", "--family", "osc"), "suite 'rule-inversion' takes no --family"),
+        (("rule-inversion", "--r", "2"), "suite 'rule-inversion' takes no --r"),
+        (("rule-inversion", "--deep", "--n", "4"), "suite 'rule-inversion' takes no --n"),
     ],
 )
 def test_verify_rejects_options_that_check_nothing(capsys, argv, message):
@@ -509,6 +513,90 @@ def test_verify_names_the_chord_map_that_fails(capsys, monkeypatch, tag, suite, 
     payload = json.loads(out)
     assert payload["ok"] is False and payload["counterexamples"]
     assert {c["reason"] for c in payload["counterexamples"]} == {reason}
+
+
+@pytest.mark.parametrize(
+    "suite, instances",
+    [
+        ("osc-main", 250),
+        ("fans-main", 64),
+        ("vac-main", 48),
+        ("rotation", 362),
+        ("order", 362),
+        ("blowup-lemmas", 362),
+    ],
+)
+def test_verify_plain_reports_are_pinned(capsys, suite, instances):
+    expected = f'{{"counterexamples":[],"instances":{instances},"ok":true,"suite":"{suite}"}}\n'
+    assert run(capsys, "verify", suite) == (0, expected, "")
+
+
+def _bumped(i, j):
+    """A matrix with 1 added at (i, j); an empty one unchanged."""
+
+    def bump(m):
+        if not m:
+            return m
+        out = [list(row) for row in m]
+        out[i][j] += 1
+        return tuple(map(tuple, out))
+
+    return bump
+
+
+def _doubled(m):
+    # symmetric, zero diagonal and intertwining rotation, but each row sums to 2
+    return tuple(tuple(2 * x for x in row) for row in m)
+
+
+@pytest.mark.parametrize(
+    "name, tag, fault, suite, family, reason",
+    [
+        ("chord_matrix", "M_F", _bumped(0, 1), "rotation", "fan", "M_F not symmetric"),
+        ("chord_matrix", "M_VF", _bumped(0, 0), "rotation", "vac", "M_VF has a nonzero diagonal"),
+        ("chord_matrix", "M_O", _doubled, "rotation", "osc", "M_O is not a perfect matching"),
+        ("chord_matrix", "M_O", _bumped(0, 1), "blowup-lemmas", "fan", "blowup_SE(M_F) != M_O(iota(F))"),
+        ("blocksum", None, _bumped(0, 0), "blowup-lemmas", "fan", "blocksum(blowup_SE) != id"),
+        ("chord_matrix", "M_O", _bumped(0, 1), "blowup-lemmas", "vac", "blowup_NE(M_VO) != M_O(iota(V))"),
+        ("blocksum", None, _bumped(0, 0), "blowup-lemmas", "vac", "blocksum(blowup_NE) != id"),
+    ],
+)
+def test_verify_reports_each_rotation_and_blowup_reason(
+    capsys, monkeypatch, name, tag, fault, suite, family, reason
+):
+    """One fault per reason: the suite fails on every tableau of lengths 2 to 4, the
+    first ten of them reported, and names that reason only."""
+    from crystalchords import cli
+    from crystalchords.crystals import enumerate_zero
+
+    original = getattr(cli, name)
+
+    def patched(*args):  # chord_matrix(tag, t) faults one tag only; blocksum(m, k) always
+        out = original(*args)
+        return fault(out) if tag in (None, args[0]) else out
+
+    monkeypatch.setattr(cli, name, patched)
+    code, out, _ = run(capsys, "verify", suite, "--family", family, "--r", "2", "--n", "4")
+    assert code == 1
+    failed = json.loads(out)["counterexamples"]
+    assert {c["reason"] for c in failed} == {reason}
+    listed = [t for r in (1, 2) for n in range(2, 5) for t in enumerate_zero(cli._family(family), r, n)]
+    assert len(failed) == min(10, len(listed))
+
+
+def test_verify_order_reports_a_promotion_of_the_wrong_order(capsys, monkeypatch):
+    """A promotion that fixes the rank-2 tableau 00,10,20,10,00 breaks pr^n = id on
+    the other tableau of its orbit only."""
+    from crystalchords import cli
+
+    promote = cli.promote
+    stuck = (2, ((), (1,), (2,), (1,), ()))
+    monkeypatch.setattr(cli, "promote", lambda t: t if (t.rank, t.steps) == stuck else promote(t))
+    code, out, _ = run(capsys, "verify", "order", "--family", "osc", "--r", "2", "--n", "4")
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == [
+        {"family": "oscillating", "r": 2, "tableau": "00,10,00,10,00", "reason": "pr^n != id"}
+    ]
 
 
 # the (max rank, max length) ranges of each suite, plain and --deep, in report order

@@ -413,11 +413,11 @@ def test_promote_matches_the_oracle_on_the_sieved_sets(family, r, n):
 
 
 def test_promote_checks_each_stored_entry_once(monkeypatch):
-    """A second promotion of the same tableaux runs no step check and halves nothing:
-    every check ran when its entry was stored."""
+    """A second promotion of the same tableaux runs no step check and reads no block
+    back, so it halves nothing: every check ran when its entry was stored."""
     from functools import cache
 
-    from crystalchords import promotion
+    from crystalchords import promotion, virtual
 
     items = [t for fam in (OSCILLATING, FAN, VACILLATING) for t in enumerate_zero(fam, 2, 6)]
     calls = []
@@ -427,9 +427,9 @@ def test_promote_checks_each_stored_entry_once(monkeypatch):
 
     monkeypatch.setattr(promotion, "_local_rule", cache(promotion._LocalRule))
     monkeypatch.setattr(promotion, "check_step", counted(promotion.check_step))
-    monkeypatch.setattr(promotion, "_halve", counted(promotion._halve))
+    monkeypatch.setattr(virtual, "halve", counted(virtual.halve))
     first = [promote(t) for t in items]
-    assert {"check_step", "_halve"} <= set(calls)
+    assert {"check_step", "halve"} <= set(calls)
     calls.clear()
     assert [promote(t) for t in items] == first
     assert calls == []
